@@ -35,6 +35,12 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== benchmark harness (build + unit tests) =="
+# perfbench/ is its own workspace with path dependencies on the crates:
+# building it here means a library API change that breaks the
+# benchmark fails CI, not the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== pipeline determinism (1, 2, 8 threads) =="
 # The sharded pipeline's hard contract, run explicitly so CI logs show
 # it even when the quiet test harness truncates: bit-identical pooled

@@ -25,8 +25,8 @@
 //! The dispatcher *wraps* a [`Collector`] behind one listener: the
 //! first frame of each connection routes the session — lease frames
 //! are handled here, everything else (submission, fit, shutdown)
-//! replays byte-exactly into [`Collector::handle`]. Workers therefore
-//! submit through the PR 9 path unchanged, and the merged fit stays
+//! continues in the collector's own session loop. Workers therefore
+//! submit through the collector path unchanged, and the merged fit stays
 //! bit-identical to single-process at any worker count and under any
 //! kill schedule.
 //!
@@ -46,13 +46,11 @@
 use crate::fault::{FaultKind, FaultRecord, FaultReport, WindowOutcome};
 use crate::federation::{FederationError, ShardPlan, ShardRange};
 use crate::journal::{Journal, JournalFault, JournalHeader};
-use crate::service::{
-    connect, frame_name, journal_fault_to_service, now, read_reply, submit_journal, Collector,
-    SubmitOutcome,
-};
+use crate::service::{journal_fault_to_service, submit_journal, Collector, SubmitOutcome};
 use crate::wire::{
-    read_frame, write_frame, LeaseOffer, LeaseTicket, RefusalClass, RetryPolicy, ServiceFault,
-    WireInjector, WireMessage, TYPE_LEASE_REQUEST, TYPE_WORK_DONE,
+    bind, call, frame_name, local_addr, now, read_frame, serve, unexpected, write_frame,
+    LeaseOffer, LeaseTicket, RefusalClass, RetryPolicy, ServiceFault, StopHandle, WireInjector,
+    WireMessage, TYPE_LEASE_REQUEST, TYPE_WORK_DONE,
 };
 use palu_stats::rng::{Rng, SeedSequence};
 use std::collections::BTreeMap;
@@ -60,6 +58,7 @@ use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 // Liveness supervision is inherently wall-clock: lease deadlines and
 // heartbeat intervals never reach a numerical result. lint:allow(R2)
@@ -277,6 +276,16 @@ struct DispatchState {
     activity_at: Instant,
 }
 
+impl DispatchState {
+    /// Shards whose range is fully persisted.
+    fn shards_done(&self) -> u64 {
+        self.slots
+            .values()
+            .filter(|slot| slot.state == SlotState::Done)
+            .count() as u64
+    }
+}
+
 struct DispatchShared {
     config: DispatchConfig,
     fence_base: u64,
@@ -368,37 +377,20 @@ impl Dispatcher {
 
     /// Handle one connection: the first frame routes the session.
     /// Lease frames (types 25–29) are supervised here; anything else —
-    /// including torn or corrupt first frames — replays byte-exactly
-    /// into [`Collector::handle`], so the submission/fit/shutdown
-    /// protocol is the PR 9 code path, not a reimplementation.
+    /// including a torn or corrupt first frame — goes to the
+    /// collector's own session loop, so the submission/fit/shutdown
+    /// protocol is the collector's code path, not a reimplementation.
     pub fn handle<S: Read + Write>(&self, conn: &mut S) {
-        let mut recorder = Recorder {
-            inner: conn,
-            seen: Vec::new(),
-        };
-        let first = read_frame(&mut recorder);
-        let lease_payload = match first {
+        match read_frame(conn) {
             Ok(Some(payload))
                 if payload
                     .first()
                     .is_some_and(|k| (TYPE_LEASE_REQUEST..=TYPE_WORK_DONE).contains(k)) =>
             {
-                Some(payload)
+                self.lease_session(conn, payload)
             }
-            _ => None,
-        };
-        let seen = std::mem::take(&mut recorder.seen);
-        match lease_payload {
-            Some(payload) => self.lease_session(conn, payload),
-            None => {
-                // Replay every byte the router consumed, then hand the
-                // live stream over: the collector sees the identical
-                // byte sequence the client sent.
-                let mut replay = Replay {
-                    head: std::io::Cursor::new(seen),
-                    inner: conn,
-                };
-                let _ = self.collector.handle(&mut replay);
+            first => {
+                let _ = self.collector.session(conn, first);
             }
         }
     }
@@ -479,8 +471,9 @@ impl Dispatcher {
     }
 
     /// Reclaim every lease whose deadline has passed. Expiry is lazy —
-    /// swept at each lease interaction and at the server's poll tick —
-    /// so no supervision thread exists to die at an awkward moment.
+    /// swept at each lease interaction, each time the accept loop asks
+    /// whether it is done, and by the stall watchdog — so no thread
+    /// has to wake at every lease deadline.
     fn sweep(&self, state: &mut DispatchState) {
         let t = now();
         let expired: Vec<(u64, u64, u64)> = state
@@ -526,16 +519,19 @@ impl Dispatcher {
         }
     }
 
-    /// Deterministic grant: the lowest-indexed incomplete free shard.
-    fn grant(&self, worker: u64) -> LeaseOffer {
+    /// The state lock, with expired leases swept and completed
+    /// shards marked done.
+    fn settled(&self) -> MutexGuard<'_, DispatchState> {
         let mut state = self.lock();
         self.sweep(&mut state);
         self.refresh_done(&mut state);
-        if state
-            .slots
-            .values()
-            .all(|slot| slot.state == SlotState::Done)
-        {
+        state
+    }
+
+    /// Deterministic grant: the lowest-indexed incomplete free shard.
+    fn grant(&self, worker: u64) -> LeaseOffer {
+        let mut state = self.settled();
+        if state.shards_done() == state.slots.len() as u64 {
             return LeaseOffer::Complete;
         }
         let Some(shard) = state
@@ -586,9 +582,9 @@ impl Dispatcher {
 
     /// Validate `(worker, fence)` against the lease on `shard`; the
     /// error is the typed zombie refusal. A `Done` slot still accepts
-    /// its *own* holder's token: `refresh_done` runs at every poll
-    /// tick and marks a shard complete the instant the collector has
-    /// its windows — often a beat before the holder's `WorkDone`
+    /// its *own* holder's token: `refresh_done` runs after every
+    /// connection and marks a shard complete the instant the collector
+    /// has its windows — often a beat before the holder's `WorkDone`
     /// frame arrives — and that holder is finishing, not a zombie.
     fn check_fence(
         &self,
@@ -682,47 +678,44 @@ impl Dispatcher {
 
     /// True once every shard's range is fully persisted.
     pub fn all_done(&self) -> bool {
-        let mut state = self.lock();
-        self.sweep(&mut state);
-        self.refresh_done(&mut state);
-        state
-            .slots
-            .values()
-            .all(|slot| slot.state == SlotState::Done)
+        let state = self.settled();
+        state.shards_done() == state.slots.len() as u64
     }
 
-    /// Stall watchdog tick: fires (once) when coverage is incomplete,
-    /// no lease is live, and nothing has happened for the configured
-    /// window. Returns true when the dispatcher should give up.
-    fn stalled(&self) -> bool {
-        let Some(stall) = self.shared.config.stall else {
-            return false;
-        };
-        let mut state = self.lock();
-        if state.stalled {
-            return true;
+    /// Stall watchdog step. Fires (once) when coverage is incomplete,
+    /// no lease is live, and nothing has happened for `stall`;
+    /// otherwise returns the earliest instant it could fire. `None`
+    /// ends the watch: the stall fired, or every shard is done.
+    // lint:allow(R2)
+    fn watch_stall(&self, stall: Duration) -> Option<Instant> {
+        let mut state = self.settled();
+        let (done, all) = (state.shards_done(), state.slots.len() as u64);
+        if state.stalled || done == all {
+            return None;
         }
-        self.sweep(&mut state);
-        self.refresh_done(&mut state);
-        let done = state
+        let quiet_until = state.activity_at + stall;
+        // A live lease has to expire first.
+        let lease_until = state
             .slots
             .values()
-            .filter(|slot| slot.state == SlotState::Done)
-            .count() as u64;
-        let all = state.slots.len() as u64;
-        let live = state
-            .slots
-            .values()
-            .any(|slot| slot.state == SlotState::Leased);
-        if done < all && !live && state.activity_at.elapsed() >= stall {
-            state.stalled = true;
-            self.record(
-                &mut state,
-                DispatchFault::DispatchStalled { done, shards: all },
-            );
-            return true;
+            .filter(|slot| slot.state == SlotState::Leased)
+            .map(|slot| slot.deadline)
+            .max();
+        match lease_until {
+            None if now() >= quiet_until => {
+                state.stalled = true;
+                self.record(
+                    &mut state,
+                    DispatchFault::DispatchStalled { done, shards: all },
+                );
+                None
+            }
+            _ => Some(lease_until.map_or(quiet_until, |t| t.max(quiet_until))),
         }
-        false
+    }
+
+    fn is_stalled(&self) -> bool {
+        self.lock().stalled
     }
 
     /// The dispatcher's accounting snapshot.
@@ -730,15 +723,10 @@ impl Dispatcher {
         let metrics = self.collector.metrics().snapshot();
         let mut state = self.lock();
         self.refresh_done(&mut state);
-        let shards_done = state
-            .slots
-            .values()
-            .filter(|slot| slot.state == SlotState::Done)
-            .count() as u64;
         DispatchReport {
             shards: self.collector.config().shards,
             windows: self.collector.config().expect.windows,
-            shards_done,
+            shards_done: state.shards_done(),
             leases_granted: metrics.leases_granted,
             leases_expired: metrics.leases_expired,
             leases_fenced: metrics.leases_fenced,
@@ -751,59 +739,15 @@ impl Dispatcher {
     }
 }
 
-/// A stream wrapper that remembers every byte read, so the session
-/// router can replay a consumed first frame into the collector.
-struct Recorder<'a, S> {
-    inner: &'a mut S,
-    seen: Vec<u8>,
-}
-
-impl<S: Read> Read for Recorder<'_, S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        // n ≤ buf.len() by the Read contract. lint:allow(R8)
-        self.seen.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-}
-
-/// Head-then-stream reader: serves the recorded prefix first, then
-/// the live connection; writes go straight through.
-struct Replay<'a, S> {
-    head: std::io::Cursor<Vec<u8>>,
-    inner: &'a mut S,
-}
-
-impl<S: Read> Read for Replay<'_, S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = std::io::Read::read(&mut self.head, buf)?;
-        if n > 0 {
-            return Ok(n);
-        }
-        self.inner.read(buf)
-    }
-}
-
-impl<S: Write> Write for Replay<'_, S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// The TCP face of the dispatcher: one listener serving both lease
 /// sessions and the whole collector protocol. Exits when every shard
 /// completes (unless `linger`), when a `Shutdown` frame drains the
 /// collector, when the stall watchdog fires, or when the stop handle
-/// is raised (the test harness's in-process SIGKILL: no drain, no
-/// final joins beyond thread completion).
+/// is raised (the test harness's in-process SIGKILL: no drain).
 pub struct DispatchServer {
     listener: TcpListener,
     dispatcher: Dispatcher,
-    stop: Arc<AtomicBool>,
+    stop: StopHandle,
 }
 
 impl DispatchServer {
@@ -813,13 +757,12 @@ impl DispatchServer {
     ///
     /// [`ServiceFault::Io`] when the bind fails.
     pub fn bind(addr: &str, dispatcher: Dispatcher) -> Result<DispatchServer, ServiceFault> {
-        let listener = TcpListener::bind(addr).map_err(|e| ServiceFault::Io {
-            detail: format!("bind {addr}: {e}"),
-        })?;
+        let listener = bind(addr)?;
+        let stop = StopHandle::new(&listener)?;
         Ok(DispatchServer {
             listener,
             dispatcher,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop,
         })
     }
 
@@ -829,9 +772,7 @@ impl DispatchServer {
     ///
     /// [`ServiceFault::Io`] when the socket cannot report it.
     pub fn local_addr(&self) -> Result<std::net::SocketAddr, ServiceFault> {
-        self.listener.local_addr().map_err(|e| ServiceFault::Io {
-            detail: e.to_string(),
-        })
+        local_addr(&self.listener)
     }
 
     /// The dispatcher this server fronts.
@@ -839,65 +780,56 @@ impl DispatchServer {
         &self.dispatcher
     }
 
-    /// A flag that makes `run` exit at its next poll tick without
-    /// draining — the in-process stand-in for SIGKILLing the
-    /// dispatcher (all durable state is already in the collector's
-    /// journals, which is the point of the recovery test).
-    pub fn stop_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
+    /// A handle that makes `run` return without draining — the
+    /// in-process stand-in for SIGKILLing the dispatcher (all durable
+    /// state is already in the collector's journals, which is the
+    /// point of the recovery test). Sessions in flight still finish.
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
     }
 
     /// Accept and route connections until done / drained / stalled /
-    /// stopped, then return the dispatch report.
+    /// stopped, then return the dispatch report. With a stall window
+    /// configured, a watchdog thread sleeps until the next instant a
+    /// stall could fire, and wakes the accept loop when it does.
     ///
     /// # Errors
     ///
-    /// [`ServiceFault::Io`] when the listener cannot be made
-    /// nonblocking.
+    /// [`ServiceFault::Io`] when the listener cannot report its
+    /// address.
     pub fn run(self) -> Result<DispatchReport, ServiceFault> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServiceFault::Io {
-                detail: e.to_string(),
-            })?;
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
+        let (dispatcher, stop) = (&self.dispatcher, &self.stop);
+        let linger = dispatcher.config().linger;
+        std::thread::scope(|scope| {
+            // Dropping `quiet` once serving ends stops the watchdog.
+            let (quiet, watch) = channel::<()>();
+            if let Some(stall) = dispatcher.config().stall {
+                scope.spawn(move || {
+                    while let Some(at) = dispatcher.watch_stall(stall) {
+                        let wait = at.saturating_duration_since(now());
+                        if !matches!(watch.recv_timeout(wait), Err(RecvTimeoutError::Timeout)) {
+                            return;
+                        }
+                    }
+                    if dispatcher.is_stalled() {
+                        stop.wake();
+                    }
+                });
             }
-            if self.dispatcher.collector().draining() {
-                break;
-            }
-            if !self.dispatcher.config().linger && self.dispatcher.all_done() {
-                break;
-            }
-            if self.dispatcher.stalled() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream
-                        .set_read_timeout(Some(self.dispatcher.collector().config().read_timeout));
-                    let dispatcher = self.dispatcher.clone();
-                    handles.push(std::thread::spawn(move || {
-                        let mut stream = stream;
-                        dispatcher.handle(&mut stream);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-        if !self.stop.load(Ordering::SeqCst) {
-            for handle in handles {
-                let _ = handle.join();
-            }
-        }
+            let served = serve(
+                self.listener,
+                dispatcher.collector().config().read_timeout,
+                || {
+                    stop.is_stopped()
+                        || dispatcher.collector().draining()
+                        || dispatcher.is_stalled()
+                        || (!linger && dispatcher.all_done())
+                },
+                |stream| dispatcher.handle(stream),
+            );
+            drop(quiet);
+            served
+        })?;
         Ok(self.dispatcher.report())
     }
 }
@@ -961,39 +893,6 @@ pub fn worker_journal_name(worker: u64, shards: u64, shard: u64) -> String {
     format!("worker-{worker}-shard-{shards}-{shard}.journal")
 }
 
-/// One framed request/reply round against the dispatcher, reporting a
-/// refused connection distinctly from other transport trouble: the
-/// dispatcher exits the moment every shard completes, so on a worker
-/// that has already spoken to it, "connection refused" is the
-/// signature of a *finished* dispatcher — not a slow one.
-enum CallOutcome {
-    Reply(WireMessage),
-    Gone,
-    Fault(ServiceFault),
-}
-
-fn call_once(addr: &str, retry: &RetryPolicy, frame: &WireMessage) -> CallOutcome {
-    let mut stream = match std::net::TcpStream::connect(addr) {
-        Ok(stream) => stream,
-        Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => return CallOutcome::Gone,
-        Err(e) => {
-            return CallOutcome::Fault(ServiceFault::Io {
-                detail: format!("connect {addr}: {e}"),
-            })
-        }
-    };
-    let _ = stream.set_read_timeout(Some(retry.io_timeout));
-    let _ = stream.set_write_timeout(Some(retry.io_timeout));
-    let _ = stream.set_nodelay(true);
-    if let Err(fault) = write_frame(&mut stream, &frame.encode()) {
-        return CallOutcome::Fault(fault);
-    }
-    match read_reply(&mut stream) {
-        Ok(reply) => CallOutcome::Reply(reply),
-        Err(fault) => CallOutcome::Fault(fault),
-    }
-}
-
 /// Ask the dispatcher for a lease, retrying transport faults until
 /// the policy deadline.
 ///
@@ -1021,31 +920,13 @@ fn lease_round(
     worker: u64,
     contacted: bool,
 ) -> Result<LeaseOffer, ServiceFault> {
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let fault = match call_once(addr, retry, &WireMessage::LeaseRequest { worker }) {
-            CallOutcome::Reply(WireMessage::LeaseGrant(offer)) => return Ok(offer),
-            CallOutcome::Reply(other) => ServiceFault::Protocol {
-                detail: format!("expected LeaseGrant, got {}", frame_name(&other)),
-            },
-            CallOutcome::Gone if contacted => return Ok(LeaseOffer::Complete),
-            CallOutcome::Gone => ServiceFault::Io {
-                detail: format!("connect {addr}: connection refused"),
-            },
-            CallOutcome::Fault(fault) => fault,
-        };
-        if !fault.retryable() {
-            return Err(fault);
-        }
-        if start.elapsed() >= retry.deadline {
-            return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {fault}"),
-            });
-        }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+    retry.run(
+        |_| match call(addr, retry, &WireMessage::LeaseRequest { worker })? {
+            Some(WireMessage::LeaseGrant(offer)) => Ok(offer),
+            None if contacted => Ok(LeaseOffer::Complete),
+            other => Err(unexpected(addr, "LeaseGrant", other)),
+        },
+    )
 }
 
 /// One heartbeat: single attempt (a missed beat is recoverable by the
@@ -1064,21 +945,14 @@ pub fn send_heartbeat(
     shard: u64,
     fence: u64,
 ) -> Result<u64, ServiceFault> {
-    let mut stream = connect(addr, retry)?;
-    write_frame(
-        &mut stream,
-        &WireMessage::Heartbeat {
-            worker,
-            shard,
-            fence,
-        }
-        .encode(),
-    )?;
-    match read_reply(&mut stream)? {
-        WireMessage::LeaseRenew { deadline_ms, .. } => Ok(deadline_ms),
-        other => Err(ServiceFault::Protocol {
-            detail: format!("expected LeaseRenew, got {}", frame_name(&other)),
-        }),
+    let beat = WireMessage::Heartbeat {
+        worker,
+        shard,
+        fence,
+    };
+    match call(addr, retry, &beat)? {
+        Some(WireMessage::LeaseRenew { deadline_ms, .. }) => Ok(deadline_ms),
+        other => Err(unexpected(addr, "LeaseRenew", other)),
     }
 }
 
@@ -1112,36 +986,16 @@ fn work_done_round(
     fence: u64,
     submitted: bool,
 ) -> Result<(), ServiceFault> {
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let frame = WireMessage::WorkDone {
-            worker,
-            shard,
-            fence,
-        };
-        let fault = match call_once(addr, retry, &frame) {
-            CallOutcome::Reply(WireMessage::LeaseRenew { .. }) => return Ok(()),
-            CallOutcome::Reply(other) => ServiceFault::Protocol {
-                detail: format!("expected WorkDone ack, got {}", frame_name(&other)),
-            },
-            CallOutcome::Gone if submitted => return Ok(()),
-            CallOutcome::Gone => ServiceFault::Io {
-                detail: format!("connect {addr}: connection refused"),
-            },
-            CallOutcome::Fault(fault) => fault,
-        };
-        if !fault.retryable() {
-            return Err(fault);
-        }
-        if start.elapsed() >= retry.deadline {
-            return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {fault}"),
-            });
-        }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+    let done = WireMessage::WorkDone {
+        worker,
+        shard,
+        fence,
+    };
+    retry.run(|_| match call(addr, retry, &done)? {
+        Some(WireMessage::LeaseRenew { .. }) => Ok(()),
+        None if submitted => Ok(()),
+        other => Err(unexpected(addr, "WorkDone ack", other)),
+    })
 }
 
 /// Serve leases until the dispatcher reports the capture complete.
@@ -1259,26 +1113,21 @@ where
     let limit = (chaos == Some(WorkPhase::MidCapture))
         .then(|| (ticket.hi - ticket.lo) / 2)
         .filter(|n| *n > 0);
-    let stop = AtomicBool::new(false);
     let fenced = AtomicBool::new(false);
     let captured: Result<(), FederationError> = std::thread::scope(|scope| {
-        scope.spawn(|| {
+        // Dropping `stop` once the capture returns ends the heartbeat
+        // thread at once.
+        let (stop, stopped) = channel::<()>();
+        let fenced = &fenced;
+        scope.spawn(move || {
             let mut rng = SeedSequence::new(cfg.retry.seed).rng(ticket.fence);
-            let mut waited = Duration::ZERO;
             loop {
-                // Jittered interval in [0.5, 1.0) × heartbeat_ms,
-                // slept in small slices so shutdown is snappy.
+                // Jittered interval in [0.5, 1.0) × heartbeat_ms.
                 let beat = Duration::from_millis(ticket.heartbeat_ms)
                     .mul_f64(0.5 + 0.5 * rng.gen::<f64>());
-                while waited < beat {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let slice = Duration::from_millis(10).min(beat - waited);
-                    std::thread::sleep(slice);
-                    waited += slice;
+                if !matches!(stopped.recv_timeout(beat), Err(RecvTimeoutError::Timeout)) {
+                    return;
                 }
-                waited = Duration::ZERO;
                 match send_heartbeat(
                     &cfg.addr,
                     &cfg.retry,
@@ -1298,7 +1147,7 @@ where
             }
         });
         let out = capture(ticket, &journal, limit);
-        stop.store(true, Ordering::SeqCst);
+        drop(stop);
         out
     });
     captured.map_err(|e| ServiceFault::Unavailable {
@@ -1395,4 +1244,49 @@ pub fn resume_zombie(
         fenced,
         resubmitted,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::Measurement;
+    use crate::service::ServiceConfig;
+    use std::sync::mpsc::channel;
+
+    #[test]
+    fn stall_watchdog_ends_a_dispatcher_no_worker_reaches() {
+        let dir = std::env::temp_dir()
+            .join("palu-dispatch-tests")
+            .join("stall");
+        let _ = std::fs::remove_dir_all(&dir);
+        let collector = Collector::new(ServiceConfig {
+            measurement: Measurement::UndirectedDegree,
+            expect: JournalHeader::with_params(5, 50, 4, vec!["test=stall".to_string()]),
+            shards: 2,
+            min_coverage: 1.0,
+            journal_dir: dir,
+            read_timeout: Duration::from_secs(5),
+        })
+        .unwrap();
+        let config = DispatchConfig {
+            stall: Some(Duration::from_millis(200)),
+            ..DispatchConfig::fast()
+        };
+        let dispatcher = Dispatcher::new(collector, config).unwrap();
+        let server = DispatchServer::bind("127.0.0.1:0", dispatcher).unwrap();
+        let start = std::time::Instant::now();
+        let (tx, rx) = channel();
+        std::thread::spawn(move || tx.send(server.run()));
+        let report = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run returns on its own")
+            .unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(200));
+        assert!(report.stalled);
+        assert_eq!(
+            report.events,
+            vec![DispatchFault::DispatchStalled { done: 0, shards: 2 }]
+        );
+        assert_eq!(report.faults.records.len(), 1);
+    }
 }

@@ -37,9 +37,11 @@
 //!   ranges over one seed sequence, hierarchical journal merge
 //!   bit-identical to a single-process run, typed shard-fault
 //!   quarantine with a coverage threshold (DESIGN.md §4j).
-//! * [`wire`] — the service wire protocol: journal-record framing on
-//!   TCP, typed [`wire::ServiceFault`] taxonomy, and the seeded
-//!   wire-fault injector (DESIGN.md §4k).
+//! * [`wire`] — the service wire protocol and network layer:
+//!   journal-record framing on TCP, the one accept loop
+//!   (`wire::serve`) and retry combinator ([`RetryPolicy::run`]),
+//!   typed [`wire::ServiceFault`] taxonomy, and the seeded wire-fault
+//!   injector (DESIGN.md §4k).
 //! * [`service`] — federation service mode: the crash-tolerant
 //!   shard-submission collector/server with rolling merged fits, and
 //!   the retry/backoff submission client (DESIGN.md §4k).
@@ -107,6 +109,6 @@ pub use service::{
 };
 pub use window::PacketWindow;
 pub use wire::{
-    FitSnapshot, LeaseOffer, LeaseTicket, RefusalClass, ServiceFault, ShardTornRow, WireFault,
-    WireInjector, WireSpec,
+    FitSnapshot, LeaseOffer, LeaseTicket, RefusalClass, ServiceFault, ShardTornRow, StopHandle,
+    WireFault, WireInjector, WireSpec,
 };

@@ -13,20 +13,20 @@
 //! coverage currently exists, tagged with a typed
 //! [`ServiceFault::PartialCoverage`] marker below the threshold.
 //!
-//! The [`Server`] wraps a `Collector` around a `std::net`
-//! [`TcpListener`]: per-connection read deadlines, one thread per
-//! connection, and a graceful drain (a `Shutdown` frame flips the
-//! draining flag; the accept loop exits and joins in-flight
-//! sessions — every accepted record was already durably appended, so
-//! drain persists nothing extra by construction).
+//! The [`Server`] runs a `Collector` behind the shared accept loop
+//! `wire::serve`: per-connection read deadlines, one thread
+//! per connection, and a graceful drain (a `Shutdown` frame flips the
+//! draining flag and its handler wakes the accept loop, which exits
+//! and joins in-flight sessions — every accepted record was already
+//! durably appended, so drain persists nothing extra by construction).
 //!
 //! The client half ([`submit_journal`], [`query_fit`],
-//! [`request_shutdown`]) implements deadline + jittered exponential
-//! backoff retries with idempotent resumable submission: every
-//! session opens with a `SubmitBegin`/`BeginAck` handshake that
-//! returns the server's persisted have-set, so a reconnecting client
-//! resumes exactly where the last session tore. Duplicate
-//! submissions are detected byte-for-byte and skipped, never
+//! [`request_shutdown`]) retries through [`RetryPolicy::run`]
+//! (deadline + jittered exponential backoff) with idempotent resumable
+//! submission: every session opens with a `SubmitBegin`/`BeginAck`
+//! handshake that returns the server's persisted have-set, so a
+//! reconnecting client resumes exactly where the last session tore.
+//! Duplicate submissions are detected byte-for-byte and skipped, never
 //! errors. All connection state is derived from the shard's journal,
 //! so a client killed at any point restarts from its own journal and
 //! converges.
@@ -41,8 +41,8 @@ use crate::journal::{self, Journal, JournalFault, JournalHeader, WindowEntry};
 use crate::metrics::Metrics;
 use crate::pipeline::Measurement;
 use crate::wire::{
-    read_frame, write_frame, FitRow, FitSnapshot, ServiceFault, ShardTornRow, WireInjector,
-    WireMessage,
+    bind, call, connect, local_addr, read_frame, read_reply, refused, serve, unexpected,
+    write_frame, FitRow, FitSnapshot, ServiceFault, ShardTornRow, WireInjector, WireMessage,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
@@ -51,15 +51,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Read the monotonic clock for retry pacing and read deadlines.
-/// Confined here so the pragma is one auditable site.
-// Transport pacing only: the clock reading never reaches a numerical
-// result. lint:allow(R2)
-pub(crate) fn now() -> std::time::Instant {
-    // lint:allow(R2)
-    std::time::Instant::now()
-}
 
 /// How the collector identifies the capture it is collecting: the
 /// full run identity (the journal header every shard must match) plus
@@ -335,13 +326,26 @@ impl Collector {
     /// with a best-effort `Reject` frame where the peer may still be
     /// listening).
     pub fn handle<S: Read + Write>(&self, conn: &mut S) -> ConnectionSummary {
+        let first = read_frame(conn);
+        self.session(conn, first)
+    }
+
+    /// [`Collector::handle`] for a session whose first frame (or the
+    /// fault reading it) is `first` — the dispatcher reads it to route
+    /// the connection.
+    pub(crate) fn session<S: Read + Write>(
+        &self,
+        conn: &mut S,
+        first: Result<Option<Vec<u8>>, ServiceFault>,
+    ) -> ConnectionSummary {
         let mut summary = ConnectionSummary::default();
         // Session state: which shard this connection submits for, and
         // whether its identity header has been validated.
         let mut session: Option<u64> = None;
         let mut header_ok = false;
+        let mut next = first;
         loop {
-            let payload = match read_frame(conn) {
+            let payload = match next {
                 Ok(Some(payload)) => payload,
                 Ok(None) => break,
                 Err(fault) => {
@@ -393,6 +397,7 @@ impl Collector {
                 self.refuse(conn, &mut summary, fault);
                 break;
             }
+            next = read_frame(conn);
         }
         summary
     }
@@ -717,12 +722,11 @@ impl Collector {
     }
 }
 
-/// The TCP face of the service: a nonblocking accept loop spawning
-/// one handler thread per connection, polling the collector's
-/// draining flag so a `Shutdown` frame (or a caller-side stop) drains
-/// gracefully — in-flight sessions are joined, and since every
-/// accepted record was already journal-appended, nothing is lost even
-/// on SIGKILL instead.
+/// The TCP face of the service: the collector behind `wire::serve`. A
+/// `Shutdown` frame drains it gracefully — the handler that took it
+/// wakes the accept loop, in-flight sessions are joined, and since
+/// every accepted record was already journal-appended, nothing is lost
+/// even on SIGKILL instead.
 pub struct Server {
     listener: TcpListener,
     collector: Collector,
@@ -735,11 +739,8 @@ impl Server {
     ///
     /// [`ServiceFault::Io`] when the bind fails.
     pub fn bind(addr: &str, collector: Collector) -> Result<Server, ServiceFault> {
-        let listener = TcpListener::bind(addr).map_err(|e| ServiceFault::Io {
-            detail: format!("bind {addr}: {e}"),
-        })?;
         Ok(Server {
-            listener,
+            listener: bind(addr)?,
             collector,
         })
     }
@@ -750,9 +751,7 @@ impl Server {
     ///
     /// [`ServiceFault::Io`] when the socket cannot report it.
     pub fn local_addr(&self) -> Result<std::net::SocketAddr, ServiceFault> {
-        self.listener.local_addr().map_err(|e| ServiceFault::Io {
-            detail: e.to_string(),
-        })
+        local_addr(&self.listener)
     }
 
     /// The collector this server fronts.
@@ -765,40 +764,18 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServiceFault::Io`] when the listener cannot be made
-    /// nonblocking.
+    /// [`ServiceFault::Io`] when the listener cannot report its
+    /// address.
     pub fn run(self) -> Result<ServiceReport, ServiceFault> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServiceFault::Io {
-                detail: e.to_string(),
-            })?;
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.collector.draining() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(Some(self.collector.config().read_timeout));
-                    let collector = self.collector.clone();
-                    handles.push(std::thread::spawn(move || {
-                        let mut stream = stream;
-                        let _ = collector.handle(&mut stream);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
+        let collector = &self.collector;
+        serve(
+            self.listener,
+            collector.config().read_timeout,
+            || collector.draining(),
+            |stream| {
+                let _ = collector.handle(stream);
+            },
+        )?;
         Ok(self.collector.report())
     }
 }
@@ -830,39 +807,6 @@ pub struct SubmitOutcome {
     pub torn_records_dropped: u64,
     /// Torn-tail bytes dropped recovering the local journal.
     pub torn_bytes_dropped: u64,
-}
-
-pub(crate) fn connect(addr: &str, retry: &RetryPolicy) -> Result<TcpStream, ServiceFault> {
-    let stream = TcpStream::connect(addr).map_err(|e| ServiceFault::Io {
-        detail: format!("connect {addr}: {e}"),
-    })?;
-    stream
-        .set_read_timeout(Some(retry.io_timeout))
-        .map_err(|e| ServiceFault::Io {
-            detail: e.to_string(),
-        })?;
-    stream
-        .set_write_timeout(Some(retry.io_timeout))
-        .map_err(|e| ServiceFault::Io {
-            detail: e.to_string(),
-        })?;
-    let _ = stream.set_nodelay(true);
-    Ok(stream)
-}
-
-/// Read one frame and decode it, treating a clean close mid-session
-/// as a retryable [`ServiceFault::Unavailable`], and a `Reject` frame
-/// as its reconstructed [`ServiceFault::Remote`].
-pub(crate) fn read_reply(stream: &mut TcpStream) -> Result<WireMessage, ServiceFault> {
-    match read_frame(stream)? {
-        None => Err(ServiceFault::Unavailable {
-            detail: "connection closed before acknowledgement".to_string(),
-        }),
-        Some(payload) => match WireMessage::decode(&payload)? {
-            WireMessage::Reject { code, message } => Err(ServiceFault::Remote { code, message }),
-            other => Ok(other),
-        },
-    }
 }
 
 /// Send one already-framed record, routing it through the wire-fault
@@ -927,7 +871,7 @@ fn try_submit_once(
     injector: &WireInjector,
     attempt: u64,
 ) -> Result<(u64, Vec<u64>, u64), ServiceFault> {
-    let mut stream = connect(addr, retry)?;
+    let mut stream = connect(addr, retry)?.ok_or_else(|| refused(addr))?;
     write_frame(
         &mut stream,
         &WireMessage::SubmitBegin {
@@ -939,11 +883,7 @@ fn try_submit_once(
     )?;
     let have: BTreeSet<u64> = match read_reply(&mut stream)? {
         WireMessage::BeginAck { have } => have.into_iter().collect(),
-        other => {
-            return Err(ServiceFault::Protocol {
-                detail: format!("expected BeginAck, got {}", frame_name(&other)),
-            })
-        }
+        other => return Err(unexpected(addr, "BeginAck", Some(other))),
     };
     let skipped = entries.keys().filter(|w| have.contains(w)).count() as u64;
     // The identity header rides first on every session, framed by the
@@ -972,29 +912,7 @@ fn try_submit_once(
     write_frame(&mut stream, &WireMessage::SubmitEnd { sent }.encode())?;
     match read_reply(&mut stream)? {
         WireMessage::EndAck { accepted, missing } => Ok((accepted, missing, skipped)),
-        other => Err(ServiceFault::Protocol {
-            detail: format!("expected EndAck, got {}", frame_name(&other)),
-        }),
-    }
-}
-
-pub(crate) fn frame_name(message: &WireMessage) -> &'static str {
-    match message {
-        WireMessage::Record(_) => "Record",
-        WireMessage::SubmitBegin { .. } => "SubmitBegin",
-        WireMessage::BeginAck { .. } => "BeginAck",
-        WireMessage::SubmitEnd { .. } => "SubmitEnd",
-        WireMessage::EndAck { .. } => "EndAck",
-        WireMessage::Reject { .. } => "Reject",
-        WireMessage::FitRequest => "FitRequest",
-        WireMessage::FitResponse(_) => "FitResponse",
-        WireMessage::Shutdown => "Shutdown",
-        WireMessage::ShutdownAck => "ShutdownAck",
-        WireMessage::LeaseRequest { .. } => "LeaseRequest",
-        WireMessage::LeaseGrant(_) => "LeaseGrant",
-        WireMessage::Heartbeat { .. } => "Heartbeat",
-        WireMessage::LeaseRenew { .. } => "LeaseRenew",
-        WireMessage::WorkDone { .. } => "WorkDone",
+        other => Err(unexpected(addr, "EndAck", Some(other))),
     }
 }
 
@@ -1039,46 +957,32 @@ pub fn submit_journal(
         .into_iter()
         .filter(|(w, _)| range.owns(*w))
         .collect();
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let last = match try_submit_once(
+    retry.run(|attempt| {
+        let (accepted, missing, skipped) = try_submit_once(
             addr, shard, shards, expect, &entries, retry, injector, attempt,
-        ) {
-            Ok((accepted, missing, skipped)) => {
-                // Success = every window we can provide is persisted;
-                // windows the local journal never captured stay
-                // missing server-side by design.
-                if missing.iter().all(|w| !entries.contains_key(w)) {
-                    return Ok(SubmitOutcome {
-                        shard,
-                        assigned: range.window_count(),
-                        recovered: entries.len() as u64,
-                        accepted,
-                        attempts: attempt + 1,
-                        already_present: skipped,
-                        torn_records_dropped: recovery.torn_records_dropped,
-                        torn_bytes_dropped: recovery.torn_bytes_dropped,
-                    });
-                }
-                ServiceFault::Unavailable {
-                    detail: format!(
-                        "server still missing {} window(s) after acknowledgement",
-                        missing.len()
-                    ),
-                }
-            }
-            Err(fault) if !fault.retryable() => return Err(fault),
-            Err(fault) => fault,
-        };
-        if start.elapsed() >= retry.deadline {
+        )?;
+        // Success = every window we can provide is persisted; windows
+        // the local journal never captured stay missing server-side by
+        // design.
+        if missing.iter().any(|w| entries.contains_key(w)) {
             return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {last}"),
+                detail: format!(
+                    "server still missing {} window(s) after acknowledgement",
+                    missing.len()
+                ),
             });
         }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+        Ok(SubmitOutcome {
+            shard,
+            assigned: range.window_count(),
+            recovered: entries.len() as u64,
+            accepted,
+            attempts: attempt + 1,
+            already_present: skipped,
+            torn_records_dropped: recovery.torn_records_dropped,
+            torn_bytes_dropped: recovery.torn_bytes_dropped,
+        })
+    })
 }
 
 /// Query the service's rolling merged fit, retrying transport faults
@@ -1092,31 +996,10 @@ pub fn submit_journal(
 /// [`ServiceFault::PartialCoverage`] is available from
 /// [`FitSnapshot::partial_fault`] for callers that refuse it.
 pub fn query_fit(addr: &str, retry: &RetryPolicy) -> Result<FitSnapshot, ServiceFault> {
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let outcome = connect(addr, retry).and_then(|mut stream| {
-            write_frame(&mut stream, &WireMessage::FitRequest.encode())?;
-            match read_reply(&mut stream)? {
-                WireMessage::FitResponse(snapshot) => Ok(snapshot),
-                other => Err(ServiceFault::Protocol {
-                    detail: format!("expected FitResponse, got {}", frame_name(&other)),
-                }),
-            }
-        });
-        let fault = match outcome {
-            Ok(snapshot) => return Ok(snapshot),
-            Err(fault) if !fault.retryable() => return Err(fault),
-            Err(fault) => fault,
-        };
-        if start.elapsed() >= retry.deadline {
-            return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {fault}"),
-            });
-        }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+    retry.run(|_| match call(addr, retry, &WireMessage::FitRequest)? {
+        Some(WireMessage::FitResponse(snapshot)) => Ok(snapshot),
+        other => Err(unexpected(addr, "FitResponse", other)),
+    })
 }
 
 /// Ask the service to drain and shut down, retrying until the
@@ -1127,31 +1010,10 @@ pub fn query_fit(addr: &str, retry: &RetryPolicy) -> Result<FitSnapshot, Service
 /// [`ServiceFault::Unavailable`] when the service cannot be reached
 /// before the deadline.
 pub fn request_shutdown(addr: &str, retry: &RetryPolicy) -> Result<(), ServiceFault> {
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let outcome = connect(addr, retry).and_then(|mut stream| {
-            write_frame(&mut stream, &WireMessage::Shutdown.encode())?;
-            match read_reply(&mut stream)? {
-                WireMessage::ShutdownAck => Ok(()),
-                other => Err(ServiceFault::Protocol {
-                    detail: format!("expected ShutdownAck, got {}", frame_name(&other)),
-                }),
-            }
-        });
-        let fault = match outcome {
-            Ok(()) => return Ok(()),
-            Err(fault) if !fault.retryable() => return Err(fault),
-            Err(fault) => fault,
-        };
-        if start.elapsed() >= retry.deadline {
-            return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {fault}"),
-            });
-        }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+    retry.run(|_| match call(addr, retry, &WireMessage::Shutdown)? {
+        Some(WireMessage::ShutdownAck) => Ok(()),
+        other => Err(unexpected(addr, "ShutdownAck", other)),
+    })
 }
 
 #[cfg(test)]
@@ -1522,5 +1384,29 @@ mod tests {
         let other = RetryPolicy::fast(43);
         let differs = (0..5).any(|a| other.backoff(a) != retry.backoff(a));
         assert!(differs, "jitter must depend on the seed");
+    }
+
+    #[test]
+    fn retry_sleeps_are_clamped_to_the_deadline() {
+        // A loopback port that was just bound and closed: every
+        // connect is refused, so only the backoff sleeps take time.
+        let closed = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = closed.local_addr().unwrap().to_string();
+        drop(closed);
+        let retry = RetryPolicy {
+            deadline: Duration::from_millis(100),
+            backoff_base: Duration::from_secs(5),
+            backoff_cap: Duration::from_secs(5),
+            io_timeout: Duration::from_secs(1),
+            seed: 1,
+        };
+        let start = std::time::Instant::now();
+        let out = query_fit(&addr, &retry);
+        let took = start.elapsed();
+        assert!(
+            matches!(out, Err(ServiceFault::Unavailable { .. })),
+            "{out:?}"
+        );
+        assert!(took < Duration::from_secs(1), "took {took:?}");
     }
 }

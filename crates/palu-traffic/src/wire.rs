@@ -52,10 +52,28 @@
 //! deterministic faults — drop / corrupt / duplicate / delay /
 //! truncate — so the retry/idempotency machinery is exercised by
 //! tests and CI at 50% rates, not just by theory.
+//!
+//! The module is also the one network layer both servers and every
+//! client share: `serve` is the accept loop, [`RetryPolicy::run`]
+//! the retry combinator, and `connect`/`call` the client socket.
 
 use crate::journal::{self, crc32, JournalFault, MAX_RECORD_LEN};
 use palu_stats::rng::{Rng, SeedSequence};
 use std::io::{Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Read the monotonic clock for retry pacing, lease deadlines and
+/// read deadlines. Confined here so the pragma is one auditable site.
+// Transport pacing only: the clock reading never reaches a numerical
+// result. lint:allow(R2)
+pub(crate) fn now() -> std::time::Instant {
+    // lint:allow(R2)
+    std::time::Instant::now()
+}
 
 /// Payload type byte for [`WireMessage::SubmitBegin`].
 pub const TYPE_SUBMIT_BEGIN: u8 = 16;
@@ -1006,20 +1024,19 @@ impl WireMessage {
 /// Client retry policy: a total deadline, jittered exponential
 /// backoff between attempts, and per-socket I/O timeouts. The jitter
 /// is seeded ([`SeedSequence`]) so a test's retry schedule is
-/// reproducible. Shared by every wire client — `submit`'s journal
-/// streamer and the dispatcher's `work` lease loop use the same
-/// knobs.
+/// reproducible. Every wire client retries through
+/// [`RetryPolicy::run`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total budget across all attempts; [`ServiceFault::Unavailable`]
     /// when it elapses.
-    pub deadline: std::time::Duration,
+    pub deadline: Duration,
     /// Base backoff; attempt `k` waits `base · 2^k · jitter`.
-    pub backoff_base: std::time::Duration,
+    pub backoff_base: Duration,
     /// Backoff ceiling.
-    pub backoff_cap: std::time::Duration,
+    pub backoff_cap: Duration,
     /// Per-socket read/write timeout.
-    pub io_timeout: std::time::Duration,
+    pub io_timeout: Duration,
     /// Seed for the deterministic jitter.
     pub seed: u64,
 }
@@ -1029,10 +1046,10 @@ impl RetryPolicy {
     /// backoff, generous total deadline.
     pub fn fast(seed: u64) -> RetryPolicy {
         RetryPolicy {
-            deadline: std::time::Duration::from_secs(30),
-            backoff_base: std::time::Duration::from_millis(10),
-            backoff_cap: std::time::Duration::from_millis(250),
-            io_timeout: std::time::Duration::from_secs(5),
+            deadline: Duration::from_secs(30),
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(250),
+            io_timeout: Duration::from_secs(5),
             seed,
         }
     }
@@ -1040,15 +1057,248 @@ impl RetryPolicy {
     /// The wait before retry `attempt` (0-based): exponential with
     /// multiplicative jitter in `[0.5, 1.0)`, capped. Deterministic
     /// in `(seed, attempt)`.
-    pub fn backoff(&self, attempt: u64) -> std::time::Duration {
+    pub fn backoff(&self, attempt: u64) -> Duration {
         let factor = 1u64.checked_shl(attempt.min(16) as u32).unwrap_or(u64::MAX);
         let mut rng = SeedSequence::new(self.seed).rng(attempt);
         let u: f64 = rng.gen::<f64>();
         let jitter = 0.5 + 0.5 * u;
         let nanos = self.backoff_base.as_nanos() as f64 * factor as f64 * jitter;
         let capped = nanos.min(self.backoff_cap.as_nanos() as f64);
-        std::time::Duration::from_nanos(capped as u64)
+        Duration::from_nanos(capped as u64)
     }
+
+    /// Run `op(attempt)` for `attempt` = 0, 1, 2, … until it succeeds
+    /// or fails non-retryably, sleeping [`RetryPolicy::backoff`]
+    /// between attempts — each sleep clamped to the time left before
+    /// the deadline, so the budget holds across all attempts.
+    ///
+    /// # Errors
+    ///
+    /// A non-retryable fault at once; [`ServiceFault::Unavailable`]
+    /// carrying the last fault once the deadline has elapsed.
+    pub fn run<T>(
+        &self,
+        mut op: impl FnMut(u64) -> Result<T, ServiceFault>,
+    ) -> Result<T, ServiceFault> {
+        let start = now();
+        let mut attempt = 0u64;
+        loop {
+            let fault = match op(attempt) {
+                Ok(value) => return Ok(value),
+                Err(fault) if !fault.retryable() => return Err(fault),
+                Err(fault) => fault,
+            };
+            let left = self.deadline.saturating_sub(start.elapsed());
+            if left.is_zero() {
+                return Err(ServiceFault::Unavailable {
+                    detail: format!("retry deadline elapsed; last fault: {fault}"),
+                });
+            }
+            std::thread::sleep(self.backoff(attempt).min(left));
+            attempt += 1;
+        }
+    }
+}
+
+/// Open a client connection with the policy's I/O timeouts. A refused
+/// connection (nothing listening at `addr`) is `Ok(None)`: a worker
+/// that has reached its dispatcher before reads it as "finished".
+pub(crate) fn connect(addr: &str, retry: &RetryPolicy) -> Result<Option<TcpStream>, ServiceFault> {
+    let stream = match TcpStream::connect(addr) {
+        Ok(stream) => stream,
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => return Ok(None),
+        Err(e) => {
+            return Err(ServiceFault::Io {
+                detail: format!("connect {addr}: {e}"),
+            })
+        }
+    };
+    stream
+        .set_read_timeout(Some(retry.io_timeout))
+        .and_then(|()| stream.set_write_timeout(Some(retry.io_timeout)))
+        .map_err(|e| io_fault(&e))?;
+    let _ = stream.set_nodelay(true);
+    Ok(Some(stream))
+}
+
+/// The fault for a connection refused at `addr`.
+pub(crate) fn refused(addr: &str) -> ServiceFault {
+    ServiceFault::Io {
+        detail: format!("connect {addr}: connection refused"),
+    }
+}
+
+/// Read one frame and decode it, treating a clean close mid-session
+/// as a retryable [`ServiceFault::Unavailable`], and a `Reject` frame
+/// as its reconstructed [`ServiceFault::Remote`].
+pub(crate) fn read_reply(stream: &mut impl Read) -> Result<WireMessage, ServiceFault> {
+    match read_frame(stream)? {
+        None => Err(ServiceFault::Unavailable {
+            detail: "connection closed before acknowledgement".to_string(),
+        }),
+        Some(payload) => match WireMessage::decode(&payload)? {
+            WireMessage::Reject { code, message } => Err(ServiceFault::Remote { code, message }),
+            other => Ok(other),
+        },
+    }
+}
+
+/// One request/reply exchange on a fresh connection; `Ok(None)` when
+/// the connection was refused.
+pub(crate) fn call(
+    addr: &str,
+    retry: &RetryPolicy,
+    request: &WireMessage,
+) -> Result<Option<WireMessage>, ServiceFault> {
+    let Some(mut stream) = connect(addr, retry)? else {
+        return Ok(None);
+    };
+    write_frame(&mut stream, &request.encode())?;
+    read_reply(&mut stream).map(Some)
+}
+
+/// The fault for a [`call`] that did not answer `want`: a refused
+/// connection is transport trouble, any other frame a protocol
+/// violation.
+pub(crate) fn unexpected(addr: &str, want: &str, got: Option<WireMessage>) -> ServiceFault {
+    match got {
+        None => refused(addr),
+        Some(other) => ServiceFault::Protocol {
+            detail: format!("expected {want}, got {}", frame_name(&other)),
+        },
+    }
+}
+
+pub(crate) fn frame_name(message: &WireMessage) -> &'static str {
+    match message {
+        WireMessage::Record(_) => "Record",
+        WireMessage::SubmitBegin { .. } => "SubmitBegin",
+        WireMessage::BeginAck { .. } => "BeginAck",
+        WireMessage::SubmitEnd { .. } => "SubmitEnd",
+        WireMessage::EndAck { .. } => "EndAck",
+        WireMessage::Reject { .. } => "Reject",
+        WireMessage::FitRequest => "FitRequest",
+        WireMessage::FitResponse(_) => "FitResponse",
+        WireMessage::Shutdown => "Shutdown",
+        WireMessage::ShutdownAck => "ShutdownAck",
+        WireMessage::LeaseRequest { .. } => "LeaseRequest",
+        WireMessage::LeaseGrant(_) => "LeaseGrant",
+        WireMessage::Heartbeat { .. } => "Heartbeat",
+        WireMessage::LeaseRenew { .. } => "LeaseRenew",
+        WireMessage::WorkDone { .. } => "WorkDone",
+    }
+}
+
+/// Bind a server listener (e.g. `127.0.0.1:0` for an ephemeral port).
+pub(crate) fn bind(addr: &str) -> Result<TcpListener, ServiceFault> {
+    TcpListener::bind(addr).map_err(|e| ServiceFault::Io {
+        detail: format!("bind {addr}: {e}"),
+    })
+}
+
+/// The address a listener is bound to.
+pub(crate) fn local_addr(listener: &TcpListener) -> Result<SocketAddr, ServiceFault> {
+    listener.local_addr().map_err(|e| io_fault(&e))
+}
+
+/// Stops a server from outside its connections: the flag its `done()`
+/// predicate reads, plus the wake — one connect-to-self, carrying no
+/// frame, that unblocks its `accept`. Cheap to clone.
+#[derive(Debug, Clone)]
+pub struct StopHandle {
+    stopped: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
+
+impl StopHandle {
+    /// A handle for `listener`. A listener bound to the unspecified
+    /// address is woken through loopback.
+    pub(crate) fn new(listener: &TcpListener) -> Result<StopHandle, ServiceFault> {
+        let mut addr = local_addr(listener)?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Ok(StopHandle {
+            stopped: Arc::new(AtomicBool::new(false)),
+            addr,
+        })
+    }
+
+    /// Raise the stop flag, then wake the listener so its loop sees it.
+    pub fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// Whether [`StopHandle::stop`] has been called.
+    pub fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    /// Wake the listener without raising the flag. Best effort: if
+    /// the connect fails the loop wakes at its next connection.
+    pub(crate) fn wake(&self) {
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+    }
+}
+
+/// Pause after a failed `accept`, so that a persistent error such as
+/// EMFILE cannot spin the loop.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(5);
+
+/// The one accept loop behind both servers. It blocks in `accept` and
+/// runs `handler` on one thread per connection (read deadline
+/// `read_timeout`, `TCP_NODELAY`); finished handler threads are reaped
+/// as they exit. It returns once `done()` holds, after closing the
+/// listener and waiting for the handlers still running.
+///
+/// `done` must be monotonic, and whatever makes it true must wake the
+/// listener. A handler thread does so itself when `done()` holds after
+/// its connection closes (a `Shutdown` or a `WorkDone`, say); anything
+/// else calls [`StopHandle::wake`] after making `done()` true.
+///
+/// # Errors
+///
+/// [`ServiceFault::Io`] when the listener cannot report its address.
+pub(crate) fn serve<D, H>(
+    listener: TcpListener,
+    read_timeout: Duration,
+    done: D,
+    handler: H,
+) -> Result<(), ServiceFault>
+where
+    D: Fn() -> bool + Sync,
+    H: Fn(&mut TcpStream) + Sync,
+{
+    let waker = StopHandle::new(&listener)?;
+    let (done, handler, waker) = (&done, &handler, &waker);
+    std::thread::scope(|scope| {
+        while !done() {
+            match listener.accept() {
+                Ok((mut stream, _)) if !done() => {
+                    // Detached, so the thread is reaped as it exits; a
+                    // handler's panic ends only its own session.
+                    scope.spawn(move || {
+                        let _ = stream.set_nodelay(true);
+                        let _ = stream.set_read_timeout(Some(read_timeout));
+                        let _ = catch_unwind(AssertUnwindSafe(|| handler(&mut stream)));
+                        drop(stream);
+                        if done() {
+                            waker.wake();
+                        }
+                    });
+                }
+                Ok(_) => {}
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
+            }
+        }
+        // Refuse new connections while the running handlers finish.
+        drop(listener);
+    });
+    Ok(())
 }
 
 /// One injected transport fault.
@@ -1504,5 +1754,62 @@ mod tests {
         }
         let other = RetryPolicy::fast(43);
         assert!((0..12).any(|a| retry.backoff(a) != other.backoff(a)));
+    }
+
+    fn quick(deadline_ms: u64) -> RetryPolicy {
+        RetryPolicy {
+            deadline: Duration::from_millis(deadline_ms),
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            io_timeout: Duration::from_secs(1),
+            seed: 7,
+        }
+    }
+
+    #[test]
+    fn retry_run_returns_a_non_retryable_fault_after_one_attempt() {
+        let mut calls = 0;
+        let out: Result<(), _> = quick(10_000).run(|_| {
+            calls += 1;
+            Err(ServiceFault::WindowConflict { window: 3 })
+        });
+        assert_eq!(out, Err(ServiceFault::WindowConflict { window: 3 }));
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn retry_run_numbers_retryable_attempts_from_zero() {
+        let mut seen = Vec::new();
+        let out = quick(10_000).run(|attempt| {
+            seen.push(attempt);
+            if attempt < 3 {
+                Err(ServiceFault::Deadline)
+            } else {
+                Ok(attempt)
+            }
+        });
+        assert_eq!(out, Ok(3));
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn retry_run_times_out_as_unavailable_carrying_the_last_fault() {
+        let mut last = 0;
+        let out: Result<(), _> = quick(30).run(|attempt| {
+            last = attempt;
+            Err(ServiceFault::Io {
+                detail: format!("attempt {attempt} failed"),
+            })
+        });
+        assert!(last > 0, "a 30 ms budget over 1-2 ms backoffs retries");
+        match out {
+            Err(ServiceFault::Unavailable { detail }) => {
+                assert!(
+                    detail.contains(&format!("attempt {last} failed")),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected Unavailable, got {other:?}"),
+        }
     }
 }

@@ -32,11 +32,9 @@ use palu_traffic::wire::{FitSnapshot, ServiceFault, WireInjector, WireSpec};
 use palu_traffic::{
     request_lease, resume_zombie, run_worker, DispatchConfig, DispatchReport, DispatchServer,
     Dispatcher, FailurePolicy, FaultKind, FederationError, InjectionSpec, Injector, JournalHeader,
-    LeaseOffer, WorkPhase, WorkerConfig, WorkerReport,
+    LeaseOffer, StopHandle, WorkPhase, WorkerConfig, WorkerReport,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 const WINDOWS: usize = 16;
@@ -147,7 +145,7 @@ fn start_dispatcher(
     dconfig: DispatchConfig,
 ) -> (
     String,
-    Arc<AtomicBool>,
+    StopHandle,
     std::thread::JoinHandle<Result<DispatchReport, ServiceFault>>,
 ) {
     let collector = Collector::new(config(journal_dir, shards)).expect("collector");
@@ -319,7 +317,7 @@ fn dispatched_fit_is_bit_identical_across_shard_worker_and_chaos_sweep() {
                 // killed worker's lease is still outstanding, then
                 // restart over the same journal directory.
                 let (addr, handle) = if chaos == Chaos::DispatcherRestart {
-                    stop.store(true, Ordering::SeqCst);
+                    stop.stop();
                     let report = handle
                         .join()
                         .expect("dispatcher thread")
