@@ -56,9 +56,7 @@ fn main() {
     let mut rows = Vec::new();
     for (i, s) in palu_bench::fig3_scenarios().iter().enumerate() {
         let mut obs = s.observatory(20260706 + i as u64);
-        let windows = obs
-            .windows_parallel(s.windows.min(8), 8)
-            .expect("non-zero window count");
+        let windows = obs.windows(s.windows.min(8));
         let mut merged = DegreeHistogram::new();
         for w in &windows {
             merged.merge(&Measurement::UndirectedDegree.histogram(w));

@@ -2346,8 +2346,10 @@ mod tests {
             outputs.push(std::fs::read_to_string(&out).unwrap());
             let m = std::fs::read_to_string(&metrics).unwrap();
             assert!(m.contains("\"synthesize\""), "{m}");
-            // Worker count is clamped to the 5-window workload.
-            let expected = threads.parse::<u64>().unwrap().min(5);
+            // Workers spawned: clamped to the 5-window workload and
+            // to the host's effective parallelism (floor 2).
+            let cores = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
+            let expected = threads.parse::<u64>().unwrap().min(5).min(cores as u64);
             assert!(m.contains(&format!("\"threads\": {expected}")), "{m}");
             assert!(m.contains("\"windows\": 5"), "{m}");
         }

@@ -528,8 +528,8 @@ mod tests {
     #[test]
     fn stream_outputs_are_unperturbed_by_other_streams_draining() {
         // Stream k's whole prefix is unchanged no matter how much
-        // streams j ≠ k consume — the property windows_parallel and
-        // window_at rely on.
+        // streams j ≠ k consume — the property the parallel capture
+        // engine and window_at rely on.
         let seq = SeedSequence::new(1234);
         let mut before = seq.rng(7);
         let prefix: Vec<u64> = (0..64).map(|_| before.next_u64()).collect();

@@ -1,5 +1,5 @@
 //! Resource-budget governor for bounded-memory captures
-//! (DESIGN.md §4g).
+//! (DESIGN.md §4d).
 //!
 //! A large `(n_v, windows, threads)` configuration allocates unchecked
 //! — COO/CSR builds, per-window histograms, journal replay buffers —
@@ -14,16 +14,16 @@
 //!    typed [`BudgetFault::AdmissionRefused`] carrying the estimate
 //!    and, where one exists, a [`SuggestedConfig`] that fits.
 //! 2. **Backpressure.** A [`ResourceBudget`] tracks accounted bytes;
-//!    the governed engine acquires each batch's transient footprint at
-//!    window boundaries, so a soft-watermark breach deterministically
-//!    reduces the number of in-flight windows. Decisions are keyed
-//!    only to accounted bytes at those boundaries — reruns at a fixed
-//!    budget reproduce the same schedule, and the pooled output is
-//!    bit-identical to the ungoverned run (the merge stays strictly
-//!    window-ordered regardless of batching).
+//!    the capture engine charges each window's projected footprint
+//!    when it enters the in-flight range and releases it when the
+//!    window folds, and a window the hard watermark refuses waits for
+//!    an earlier one to fold. Every ledger call happens at a fold, in
+//!    window order — reruns at a fixed budget reproduce the same
+//!    schedule, and the pooled output is bit-identical to an
+//!    unbudgeted run (the merge stays strictly window-ordered).
 //! 3. **Graceful degradation.** An ordered [`DegradationRung`] ladder
-//!    — coarsen log-binning, shrink the worker count, spill pooled
-//!    state — engages one rung per breached checkpoint, each recorded
+//!    — coarsen log-binning, halve the in-flight range, cut it to one
+//!    window — engages one rung per breached checkpoint, each recorded
 //!    as a typed [`DegradationEvent`] in the
 //!    [`FaultReport`](crate::fault::FaultReport). The hard watermark
 //!    produces a clean typed abort, never an OOM kill.
@@ -52,22 +52,28 @@ const WELFORD_BYTES: u64 = 24;
 /// power-of-two bins; the vector's capacity may double past the
 /// length, hence the 2× in the fixed slot term below.
 const MAX_BINS: u64 = 64;
-/// Fixed per-slot overhead retained after a window completes: the
+/// Fixed overhead a completed window holds until it folds: the
 /// `BinStats` vector at doubled capacity, struct headers, and the
 /// optional fault record.
 const SLOT_FIXED_BYTES: u64 = 2 * MAX_BINS * WELFORD_BYTES + 1024;
 /// Fixed overhead of the merge-side state (pooled `BinStats`,
 /// histogram and report headers).
 const MERGE_FIXED_BYTES: u64 = 2 * MAX_BINS * WELFORD_BYTES + 1024;
+/// Windows the capture engine's in-flight range holds beyond one per
+/// requested thread, so a worker that finishes ahead of the window at
+/// the fold cursor starts the next one instead of waiting for it. On
+/// `capture-steady` no slack cost 16% of the wall time and one window
+/// measured as fast as two or more (DESIGN.md §4d).
+pub(crate) const RANGE_SLACK: usize = 1;
 /// Extra multiples of `window_bytes` a ballast-injected window
 /// accounts for, simulating memory pressure without allocating.
 pub const BALLAST_WINDOW_MULTIPLIER: u64 = 3;
 
 /// Accounted-bytes ledger with optional soft and hard watermarks.
 ///
-/// The governed pipeline acquires projected footprints *before*
+/// The capture engine acquires projected footprints *before*
 /// allocating and releases them as state is freed; only the
-/// coordinating thread touches the ledger (at window boundaries), so
+/// coordinating thread touches the ledger (at folds), so
 /// the accounting — and every decision keyed to it — is deterministic
 /// for a fixed budget. Atomics make the ledger `Sync` for the metrics
 /// reader, not for contended updates.
@@ -163,7 +169,7 @@ impl ResourceBudget {
     }
 }
 
-/// How the governed engine treats a configured budget.
+/// How the capture engine treats a configured budget.
 #[derive(Debug, Clone, Copy)]
 pub struct Governor<'a> {
     /// The ledger every acquisition goes through.
@@ -243,7 +249,7 @@ impl Error for BudgetFault {}
 /// budget, attached to [`BudgetFault::AdmissionRefused`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuggestedConfig {
-    /// Suggested worker / in-flight window count.
+    /// Suggested worker count.
     pub threads: u64,
     /// Suggested packets per window.
     pub n_v: u64,
@@ -261,7 +267,8 @@ pub struct CostModel {
     pub n_nodes: u64,
     /// Number of windows in the capture.
     pub windows: u64,
-    /// Requested worker count — the initial in-flight window width.
+    /// Requested worker count; the in-flight range is one window
+    /// wider.
     pub threads: u64,
 }
 
@@ -303,9 +310,10 @@ impl CostModel {
             .min(self.n_v.saturating_mul(2).max(1))
     }
 
-    /// Transient bytes of one in-flight window: packet pairs, the COO
-    /// build, the CSR matrix, the per-window histogram and bin stats,
-    /// with a 25% safety margin.
+    /// Bytes one window is charged from entering the in-flight range
+    /// until it folds: packet pairs, the COO build, the CSR matrix,
+    /// the per-window histogram and bin stats awaiting the fold, with
+    /// a 25% safety margin.
     pub fn window_bytes(&self) -> u64 {
         let csr = palu_sparse::csr_footprint_bytes(self.n_nodes, self.n_v).unwrap_or(u64::MAX);
         let base = self
@@ -316,16 +324,6 @@ impl CostModel {
             .saturating_add(self.hist_support().saturating_mul(BTREE_ENTRY_BYTES))
             .saturating_add(SLOT_FIXED_BYTES);
         with_margin(base)
-    }
-
-    /// Bytes retained per *completed* window until its slot drains
-    /// into the merge: the binned stats plus the fine-grained
-    /// histogram. Upper-bounds the measured
-    /// `approx_bytes` accounting the engine performs.
-    pub fn slot_bytes(&self) -> u64 {
-        self.hist_support()
-            .saturating_mul(BTREE_ENTRY_BYTES)
-            .saturating_add(SLOT_FIXED_BYTES)
     }
 
     /// Bytes of the merge-side state: the pooled stats plus the merged
@@ -341,25 +339,25 @@ impl CostModel {
             .saturating_add(MERGE_FIXED_BYTES)
     }
 
-    /// Projected peak accounted bytes with `in_flight` windows
-    /// computing concurrently and every completed slot retained until
-    /// the final merge (the undegraded schedule).
-    pub fn peak_bytes(&self, in_flight: u64) -> u64 {
-        in_flight
+    /// Projected peak accounted bytes at `threads` requested workers
+    /// (the undegraded schedule): each of the `threads + 1` windows of
+    /// the in-flight range is charged
+    /// [`CostModel::window_bytes`] until it folds, plus the merge-side
+    /// state. Completed windows fold as soon as they are contiguous,
+    /// so the peak does not grow with the capture's length.
+    pub fn peak_bytes(&self, threads: u64) -> u64 {
+        threads
+            .saturating_add(RANGE_SLACK as u64)
             .saturating_mul(self.window_bytes())
-            .saturating_add(self.windows.saturating_mul(self.slot_bytes()))
             .saturating_add(self.merge_bytes())
     }
 
-    /// Projected peak with every degradation rung engaged: one window
-    /// in flight, slots spilled into the merge as they complete (at
-    /// most a small non-contiguous remainder retained). No schedule of
-    /// this capture can run in less; a hard watermark below this is
-    /// refused at admission unconditionally.
+    /// Projected peak with every degradation rung engaged: a range of
+    /// one window plus the merge-side state. No schedule of this
+    /// capture can run in less; a hard watermark below this is refused
+    /// at admission unconditionally.
     pub fn floor_bytes(&self) -> u64 {
-        self.window_bytes()
-            .saturating_add(self.slot_bytes().saturating_mul(2))
-            .saturating_add(self.merge_bytes())
+        self.window_bytes().saturating_add(self.merge_bytes())
     }
 
     /// Admission check: returns the undegraded peak estimate, or the
@@ -435,10 +433,11 @@ pub enum DegradationRung {
     /// representatives (the pooled `BinStats` is untouched, so the
     /// pooled distribution stays bit-identical to an ungoverned run).
     CoarsenBins,
-    /// Halve the number of in-flight windows.
+    /// Halve the in-flight range's bound: half as many windows are
+    /// charged, computing, or waiting to fold at once.
     ShrinkWorkers,
-    /// Spill completed window slots into the merge at every
-    /// checkpoint instead of retaining them until the end.
+    /// Cut the in-flight range to one window, so each window folds
+    /// before the next is charged.
     SpillPooled,
 }
 

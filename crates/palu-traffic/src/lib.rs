@@ -32,7 +32,7 @@
 //! * [`budget`] — the resource-budget governor: admission control from
 //!   per-stage cost models, accounted-bytes backpressure, and the
 //!   graceful-degradation ladder for bounded-memory captures
-//!   (DESIGN.md §4g).
+//!   (DESIGN.md §4d).
 //! * [`federation`] — fault-tolerant sharded capture: disjoint window
 //!   ranges over one seed sequence, hierarchical journal merge
 //!   bit-identical to a single-process run, typed shard-fault

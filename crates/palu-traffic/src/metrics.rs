@@ -158,7 +158,8 @@ impl Metrics {
         self.windows.add(n);
     }
 
-    /// Record the worker-thread count of the run (last write wins).
+    /// Record how many worker threads the run spawned (last write
+    /// wins).
     pub fn set_threads(&self, threads: u64) {
         self.threads.store(threads);
     }
@@ -305,7 +306,8 @@ pub struct MetricsSnapshot {
     pub packets: u64,
     /// Total windows processed.
     pub windows: u64,
-    /// Worker threads used by the run.
+    /// Worker threads the run spawned — at most the requested count,
+    /// capped at the host's effective parallelism (floor 2).
     pub threads: u64,
     /// Per-window retry attempts spent on fault recovery.
     pub retries: u64,

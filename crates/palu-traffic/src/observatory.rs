@@ -12,7 +12,6 @@ use crate::packets::{EdgeIntensity, PacketSynthesizer};
 use crate::window::PacketWindow;
 use palu_graph::palu_gen::{PaluGenerator, UnderlyingNetwork};
 use palu_stats::rng::SeedSequence;
-use palu_stats::StatsError;
 
 /// Descriptive metadata for an observatory (mirrors the panel labels
 /// of Figure 3).
@@ -200,104 +199,6 @@ impl Observatory {
     pub fn windows(&mut self, n: usize) -> Vec<PacketWindow> {
         (0..n).map(|_| self.next_window()).collect()
     }
-
-    /// Capture `n` consecutive windows concurrently on up to `threads`
-    /// scoped workers (clamped to `1..=n`), each stealing the next
-    /// window index from a shared atomic cursor. Produces exactly the
-    /// same windows as [`Observatory::windows`], since each window
-    /// owns an independent RNG stream; the caller picks the thread
-    /// count instead of this method guessing from
-    /// `available_parallelism`, so benchmarks and pipelines control
-    /// their own oversubscription.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::Domain`] when `n == 0`: an explicit zero-window
-    /// capture is a configuration bug and is rejected, never silently
-    /// coerced to one window. A synthesizer fault on any window is
-    /// classified and surfaced as [`StatsError::Domain`] too — the
-    /// historical path routed workers through the panicking
-    /// [`Observatory::window_at`], turning a classifiable fault into a
-    /// worker-thread abort.
-    pub fn windows_parallel(
-        &mut self,
-        n: usize,
-        threads: usize,
-    ) -> Result<Vec<PacketWindow>, StatsError> {
-        if n == 0 {
-            return Err(StatsError::domain(
-                "windows_parallel",
-                "explicit zero-window capture",
-            ));
-        }
-        // The caller's count is an upper bound; oversubscribing a
-        // small host only adds context-switch cost (the windows are
-        // output-invariant under scheduling), so cap at the effective
-        // parallelism, keeping a floor of 2 so concurrent execution
-        // is still exercised on single-core hosts.
-        let threads = threads.clamp(1, n).min(
-            std::thread::available_parallelism()
-                .map(|p| p.get().max(2))
-                .unwrap_or(threads),
-        );
-        let start = self.advance(n);
-        let mut slots: Vec<Option<PacketWindow>> = (0..n).map(|_| None).collect();
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let mut first_fault: Option<StatsError> = None;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let this = &*self;
-                    s.spawn(move || {
-                        let mut out: Vec<(usize, PacketWindow)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t = start + i as u64;
-                            match this.packets_at(t) {
-                                Ok(packets) => {
-                                    out.push((i, PacketWindow::from_packets(t, &packets)));
-                                }
-                                Err(fault) => {
-                                    return Err(StatsError::domain(
-                                        "windows_parallel",
-                                        format!("window {t}: {fault}"),
-                                    ));
-                                }
-                            }
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
-                    Ok(out) => {
-                        for (i, w) in out {
-                            if let Some(slot) = slots.get_mut(i) {
-                                *slot = Some(w);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if first_fault.is_none() {
-                            first_fault = Some(e);
-                        }
-                    }
-                }
-            }
-        });
-        if let Some(e) = first_fault {
-            return Err(e);
-        }
-        // The scope joined every worker, so each slot is filled.
-        let windows: Vec<PacketWindow> = slots.into_iter().flatten().collect();
-        assert_eq!(windows.len(), n, "every slot filled by a joined worker");
-        Ok(windows)
-    }
 }
 
 #[cfg(test)]
@@ -366,56 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_windows_match_sequential() {
-        let mut seq = make(11, 2_000);
-        let mut par = make(11, 2_000);
-        let ws = seq.windows(6);
-        let wp = par.windows_parallel(6, 3).unwrap();
-        assert_eq!(ws.len(), wp.len());
-        for (a, b) in ws.iter().zip(&wp) {
-            assert_eq!(a.matrix(), b.matrix());
-            assert_eq!(a.t(), b.t());
-        }
-        // The counters advanced identically: the next window agrees.
-        assert_eq!(seq.next_window().matrix(), par.next_window().matrix());
-    }
-
-    #[test]
     fn packets_at_is_the_synthesize_stage_of_window_at() {
         let obs = make(12, 2_000);
         let packets = obs.packets_at(3).unwrap();
         assert_eq!(packets.len(), 2_000);
         let assembled = PacketWindow::from_packets(3, &packets);
         assert_eq!(assembled.matrix(), obs.window_at(3).matrix());
-    }
-
-    #[test]
-    fn parallel_windows_are_thread_count_independent() {
-        let mut one = make(13, 1_000);
-        let mut many = make(13, 1_000);
-        let a = one.windows_parallel(5, 1).unwrap();
-        // Oversubscribed: more workers than windows is benign — the
-        // extra workers find the cursor exhausted and exit.
-        let b = many.windows_parallel(5, 64).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.matrix(), y.matrix());
-            assert_eq!(x.t(), y.t());
-        }
-    }
-
-    #[test]
-    fn zero_window_parallel_capture_is_a_domain_error() {
-        // Regression: n = 0 used to fall into a chunks_mut(0) panic /
-        // silent one-window coercion; it must be an explicit error.
-        let mut obs = make(14, 1_000);
-        let err = obs.windows_parallel(0, 4).unwrap_err();
-        assert!(
-            matches!(err, StatsError::Domain { .. }),
-            "expected Domain, got {err:?}"
-        );
-        // The failed call must not have consumed window indices.
-        assert_eq!(obs.next_window().t(), 0);
     }
 
     #[test]

@@ -7,20 +7,21 @@
 //! one [`PooledDistribution`] produced by this pipeline.
 //!
 //! Windows ARE processed in parallel here —
-//! [`Pipeline::pool_observatory_parallel`] shards the expensive
+//! [`Pipeline::pool_observatory_parallel`] spreads the expensive
 //! synthesize → window → histogram → bin stages across
-//! `std::thread::scope` workers, one contiguous batch of windows per
-//! worker, with each window drawing from its own splittable RNG stream
+//! `std::thread::scope` workers that claim windows one at a time from
+//! a bounded in-flight range, with each window drawing from its own
+//! splittable RNG stream
 //! ([`palu_stats::rng::SeedSequence::window_rng`]). The per-window
-//! [`BinStats`] results are then merged on the calling thread
-//! *deterministically in window order* via `BinStats::merge` (whose
-//! single-window path replays the exact float-op sequence of a serial
-//! push), so the pooled result is **bit-identical** to the serial fold
-//! for any thread count.
+//! [`BinStats`] results stream back to the calling thread, which
+//! merges them *deterministically in window order* via
+//! `BinStats::merge` (whose single-window path replays the exact
+//! float-op sequence of a serial push), so the pooled result is
+//! **bit-identical** to the serial fold for any thread count.
 
 use crate::budget::{
     coarsen_degree, coarsen_histogram, CostModel, DegradationEvent, DegradationRung, Governor,
-    ResourceBudget, BALLAST_WINDOW_MULTIPLIER,
+    ResourceBudget, BALLAST_WINDOW_MULTIPLIER, RANGE_SLACK,
 };
 use crate::fault::{
     FailurePolicy, FaultAction, FaultKind, FaultRecord, FaultReport, InjectedFault, Injector,
@@ -34,6 +35,7 @@ use palu_sparse::quantities::NetworkQuantity;
 use palu_stats::histogram::DegreeHistogram;
 use palu_stats::logbin::DifferentialCumulative;
 use palu_stats::summary::BinStats;
+use std::collections::VecDeque;
 
 /// Which degree-like measurement the pipeline pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,9 +247,11 @@ impl Pipeline {
     }
 
     /// Pool the next `n` consecutive windows of `obs` with the
-    /// synthesize → window → histogram → bin stages sharded across
-    /// `threads` scoped workers (one contiguous batch of windows per
-    /// worker). Worker count is clamped to `[1, n]`.
+    /// synthesize → window → histogram → bin stages spread across up
+    /// to `threads` scoped workers that claim windows one at a time
+    /// from a bounded in-flight range
+    /// ([`Pipeline::pool_observatory_governed`]). Worker count is
+    /// clamped to `[1, n]`.
     ///
     /// Each window draws from its own splittable RNG stream
     /// ([`palu_stats::rng::SeedSequence::window_rng`]), and the
@@ -271,13 +275,15 @@ impl Pipeline {
         threads: usize,
         metrics: Option<&Metrics>,
     ) -> PooledDistribution {
-        match Pipeline::pool_observatory_checked(
+        match Pipeline::pool_observatory_durable(
             measurement,
             obs,
             n,
             threads,
             metrics,
             &FailurePolicy::strict(),
+            None,
+            None,
             None,
         ) {
             Ok(ft) => ft.pooled,
@@ -287,8 +293,8 @@ impl Pipeline {
         }
     }
 
-    /// The fault-tolerant engine behind
-    /// [`Pipeline::pool_observatory_parallel`] (DESIGN.md §4e).
+    /// [`Pipeline::pool_observatory_parallel`] with fault tolerance
+    /// (DESIGN.md §4e) and durable checkpoint/resume (DESIGN.md §4f).
     ///
     /// Each window's synthesize → window → histogram → bin stage runs
     /// isolated on its worker: panics are contained with
@@ -298,58 +304,23 @@ impl Pipeline {
     /// ([`Observatory::packets_at_retry`]), so recovery is replayable
     /// for any thread count. A window that exhausts its budget is
     /// disposed of per `policy.on_fault`: abort the run, quarantine
-    /// (drop) the window, or substitute one clean re-synthesis.
-    ///
-    /// The surviving windows merge on the calling thread strictly in
+    /// (drop) the window, or substitute one clean re-synthesis. The
+    /// surviving windows merge on the calling thread strictly in
     /// window order, so the pooled result over the survivors is
-    /// **bit-identical** across thread counts and reruns; with no
-    /// injector and no faults it is byte-identical to
-    /// [`Pipeline::pool_observatory_parallel`]'s pre-fault-tolerance
-    /// output.
+    /// **bit-identical** across thread counts and reruns.
     ///
     /// `injector`, when supplied, deterministically plants faults per
     /// its [`crate::fault::InjectionSpec`] — the fault-injection
     /// harness that exercises this machinery in tests and CI.
     ///
-    /// # Errors
-    ///
-    /// [`PipelineError::ZeroWindows`] when `n == 0`;
-    /// [`PipelineError::WindowAborted`] under [`FaultAction::Abort`];
-    /// [`PipelineError::QuarantineOverflow`] when the quarantined
-    /// fraction exceeds `policy.quarantine_threshold`.
-    pub fn pool_observatory_checked(
-        measurement: Measurement,
-        obs: &mut Observatory,
-        n: usize,
-        threads: usize,
-        metrics: Option<&Metrics>,
-        policy: &FailurePolicy,
-        injector: Option<&Injector>,
-    ) -> Result<FaultTolerantPool, PipelineError> {
-        Pipeline::pool_engine(
-            measurement,
-            obs,
-            n,
-            threads,
-            metrics,
-            policy,
-            injector,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// [`Pipeline::pool_observatory_checked`] with durable
-    /// checkpoint/resume (DESIGN.md §4f).
-    ///
     /// With `journal` supplied, every finished window (recovered,
     /// quarantined, or clean — everything except an abort) is appended
-    /// to the write-ahead journal as it completes, so a killed process
+    /// to the write-ahead journal as it arrives, so a killed process
     /// loses at most the windows in flight. With `recovery` supplied
     /// (from [`Journal::resume`]), journaled windows are *replayed*
     /// instead of recomputed: their byte-exact [`BinStats`]/histogram
-    /// state drops straight into the window-ordered merge.
+    /// state folds into the window-ordered merge when the fold cursor
+    /// reaches them.
     ///
     /// **Crash equivalence.** The resumed pooled result is
     /// bit-identical to an uninterrupted run at any thread count and
@@ -365,7 +336,10 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Those of [`Pipeline::pool_observatory_checked`], plus
+    /// [`PipelineError::ZeroWindows`] when `n == 0`;
+    /// [`PipelineError::WindowAborted`] under [`FaultAction::Abort`];
+    /// [`PipelineError::QuarantineOverflow`] when the quarantined
+    /// fraction exceeds `policy.quarantine_threshold`;
     /// [`PipelineError::Journal`] when an append fails — the capture
     /// never silently continues without durability.
     #[allow(clippy::too_many_arguments)]
@@ -380,7 +354,7 @@ impl Pipeline {
         journal: Option<&Journal>,
         recovery: Option<&Recovery>,
     ) -> Result<FaultTolerantPool, PipelineError> {
-        Pipeline::pool_engine(
+        Pipeline::pool_observatory_governed(
             measurement,
             obs,
             n,
@@ -395,71 +369,45 @@ impl Pipeline {
     }
 
     /// [`Pipeline::pool_observatory_durable`] under a resource-budget
-    /// [`Governor`] (DESIGN.md §4g) — the full engine surface.
+    /// [`Governor`] — the capture engine itself (DESIGN.md §4d).
     ///
-    /// With `governor` supplied the engine runs *governed*: admission
-    /// control projects the peak accounted footprint from the window
-    /// geometry before any window is synthesized (refusing infeasible
+    /// Scoped workers claim window indices from an atomic cursor but
+    /// compute only inside the in-flight range `[next, next + bound)`,
+    /// where `next` is the fold cursor and `bound` is `threads + 1`.
+    /// Completed windows return to this thread, which journals each on
+    /// arrival and folds the contiguous completed prefix in window
+    /// order, advancing the range one index per fold. Memory is
+    /// therefore O(`bound`), not O(`n`).
+    ///
+    /// The governor is the ledger on that one path. Admission control
+    /// projects the peak accounted footprint from the window geometry
+    /// before any window is synthesized (refusing infeasible
     /// configurations with [`BudgetFault::AdmissionRefused`]
-    /// (crate::budget::BudgetFault)), every batch of in-flight windows
-    /// acquires its projected transient footprint from the budget
-    /// ledger, and soft-watermark breaches engage the
-    /// [`DegradationRung`] ladder — coarsen the merged histogram's
-    /// log-binning, shrink the in-flight width, spill completed slots
-    /// into the merge — each engagement recorded as a typed
-    /// [`DegradationEvent`] in the report. A hard-watermark breach that
-    /// survives draining everything drainable aborts the capture with
-    /// a clean typed [`PipelineError::Budget`], never an OOM kill.
+    /// (crate::budget::BudgetFault)); each window's projected
+    /// footprint is charged when it enters the range and released when
+    /// it folds; and soft-watermark breaches engage the
+    /// [`DegradationRung`] ladder, each engagement recorded as a typed
+    /// [`DegradationEvent`] in the report. A window that cannot be
+    /// charged waits for an earlier one to fold; an empty range that
+    /// still cannot take one window aborts with a clean typed
+    /// [`PipelineError::Budget`], never an OOM kill. Without a
+    /// governor the same path runs against an unbounded ledger.
     ///
-    /// **Determinism.** The ledger is touched only by the coordinating
-    /// thread at window boundaries, so rung engagement is a pure
+    /// **Determinism.** Every ledger call runs on this thread at a
+    /// fold, in window-index order, so rung engagement is a pure
     /// function of `(configuration, budget, threads)` — reruns at a
     /// fixed budget reproduce the same schedule and the same events.
-    /// The merge stays strictly window-ordered regardless of batching,
-    /// and the pooled `BinStats` is never coarsened, so the *pooled*
-    /// distribution is bit-identical across thread counts even when
-    /// the rung history differs — and bit-identical to the ungoverned
-    /// engine whenever the budget is ample (or `governor` is `None`,
-    /// which routes to the ungoverned engine unchanged).
+    /// The pooled `BinStats` is never coarsened, so the *pooled*
+    /// distribution is bit-identical across thread counts and budgets.
     ///
     /// # Errors
     ///
     /// Those of [`Pipeline::pool_observatory_durable`], plus
     /// [`PipelineError::Budget`] on admission refusal or a hard
     /// watermark breach.
-    #[allow(clippy::too_many_arguments)]
-    pub fn pool_observatory_governed(
-        measurement: Measurement,
-        obs: &mut Observatory,
-        n: usize,
-        threads: usize,
-        metrics: Option<&Metrics>,
-        policy: &FailurePolicy,
-        injector: Option<&Injector>,
-        journal: Option<&Journal>,
-        recovery: Option<&Recovery>,
-        governor: Option<&Governor<'_>>,
-    ) -> Result<FaultTolerantPool, PipelineError> {
-        Pipeline::pool_engine(
-            measurement,
-            obs,
-            n,
-            threads,
-            metrics,
-            policy,
-            injector,
-            journal,
-            recovery,
-            governor,
-        )
-    }
-
-    /// The engine behind the checked entry points; `journal` and
-    /// `recovery` are `None` on the non-durable path, `governor` is
-    /// `None` everywhere except [`Pipeline::pool_observatory_governed`].
     // lint:hot
     #[allow(clippy::too_many_arguments)]
-    fn pool_engine(
+    pub fn pool_observatory_governed(
         measurement: Measurement,
         obs: &mut Observatory,
         n: usize,
@@ -479,17 +427,15 @@ impl Pipeline {
         // influences a numerical result. lint:allow(R2)
         let capture_start = std::time::Instant::now();
         let threads = threads.clamp(1, n);
-        // Admission control (DESIGN.md §4g): project the peak
-        // accounted footprint from the window geometry and refuse an
-        // infeasible capture *before* the observatory advances or any
-        // window is synthesized.
-        let model = governor.map(|_| CostModel {
+        let model = CostModel {
             n_v: obs.config().n_v,
             n_nodes: obs.underlying().n_nodes() as u64,
             windows: n as u64,
             threads: threads as u64,
-        });
-        if let (Some(gov), Some(model)) = (governor, &model) {
+        };
+        // Admission control: refuse an infeasible capture *before*
+        // the observatory advances or any window is synthesized.
+        if let Some(gov) = governor {
             let estimate = model
                 .admit(gov.budget, gov.strict_admission)
                 .map_err(PipelineError::Budget)?;
@@ -498,97 +444,76 @@ impl Pipeline {
             }
         }
         let start_t = obs.advance(n);
+        let replayed = recovery.map_or(0, |r| r.windows.range(start_t..start_t + n as u64).count());
+        // Oversubscribed workers on a small host only add
+        // context-switch and arena cost, so the count is capped at the
+        // machine's effective parallelism — output-invariant, since
+        // each window's outcome is pure in `t` and the fold is window
+        // ordered. The floor of 2 keeps concurrent execution exercised
+        // on single-core hosts. The range bound uses `threads`, not
+        // this count, so the ledger schedule never depends on the
+        // machine.
+        let workers = threads
+            .min(
+                std::thread::available_parallelism()
+                    .map(|p| p.get().max(2))
+                    .unwrap_or(threads),
+            )
+            .min(n - replayed);
         if let Some(m) = metrics {
-            m.set_threads(threads as u64);
+            m.set_threads(workers as u64);
             m.add_windows(n as u64);
-        }
-        // One slot per window: workers fill the expensive per-window
-        // results; the merge below reads them in window order.
-        let mut slots: Vec<Option<WindowSlot>> = (0..n).map(|_| None).collect();
-        // Replay journaled windows up front: their slots are filled
-        // from the recovered byte-exact state, and the workers below
-        // skip them, computing only the complement.
-        if let Some(rec) = recovery {
-            let mut replayed = 0u64;
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if let Some(entry) = rec.windows.get(&(start_t + i as u64)) {
-                    *slot = Some(WindowSlot::from_entry(entry));
-                    replayed += 1;
-                }
-            }
-            if let Some(m) = metrics {
-                m.add_windows_recovered(replayed);
+            if let Some(rec) = recovery {
+                m.add_windows_recovered(replayed as u64);
                 m.add_journal_bytes_replayed(rec.bytes_replayed);
                 m.add_journal_torn_dropped(rec.torn_records_dropped);
             }
         }
-        // A configured budget routes to the governed engine; `None`
-        // keeps the ungoverned path below byte-for-byte as before.
-        if let (Some(gov), Some(model)) = (governor, model.as_ref()) {
-            return governed_capture(
-                measurement,
-                obs,
-                n,
-                start_t,
-                threads,
-                metrics,
-                policy,
-                injector,
-                journal,
-                slots,
-                gov,
-                model,
-                capture_start,
-            );
-        }
-        // Work-stealing schedule: the windows still to compute (journal
-        // replays excluded) form a shared queue drained through an
-        // atomic cursor. Each worker owns one long-lived
-        // [`WorkerArena`] and claims the next window the moment it
-        // finishes one, so an expensive window (retries, a stall, a
-        // fault plan) never idles the rest of the pool the way the
-        // historical contiguous-chunk split did. Scheduling freedom is
-        // safe because each window's outcome is pure in `t` and the
-        // merge below is strictly window-ordered — which is also why
-        // the worker count can be capped at the machine's effective
-        // parallelism without changing any output: oversubscribed
-        // workers on a small host only add context-switch and arena
-        // cost (the historical engine spawned all of them and ran
-        // *slower* than serial). The floor of 2 keeps genuinely
-        // concurrent execution even on a single-core host so
-        // scheduling-sensitive contracts stay exercised. The governed
-        // engine is exempt: its batch width is part of the
-        // deterministic `(configuration, budget, threads)` ledger
-        // schedule and must not depend on the machine.
-        let workers = threads.min(
-            std::thread::available_parallelism()
-                .map(|p| p.get().max(2))
-                .unwrap_or(threads),
-        );
-        let todo: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| i)
-            .collect();
+        let unbounded = ResourceBudget::unbounded();
+        let budget = governor.map_or(&unbounded, |g| g.budget);
+        let mut range = InFlight {
+            acc: MergeAcc::new(measurement, n),
+            budget,
+            injector,
+            metrics,
+            start_t,
+            n,
+            window_bytes: model.window_bytes(),
+            bound: threads.saturating_add(RANGE_SLACK),
+            next: 0,
+            charges: VecDeque::new(),
+            parked: VecDeque::new(),
+            merged_accounted: 0,
+        };
+        let gate = Gate::default();
         let cursor = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
+        let obs = &*obs;
+        let folded = std::thread::scope(|s| {
+            let (tx, rx) = std::sync::mpsc::channel::<(usize, WindowSlot)>();
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let cursor = &cursor;
-                    let todo = &todo;
-                    let obs = &*obs;
+                    let (tx, gate, cursor) = (tx.clone(), &gate, &cursor);
                     s.spawn(move || {
-                        // Arena and result list live for the worker's
-                        // whole lifetime — one allocation set per
-                        // worker, not per window. lint:allow(R10)
-                        let mut out: Vec<(usize, WindowSlot)> = Vec::new();
+                        // A worker that unwinds must not leave the
+                        // others parked at the gate.
+                        let _close = CloseOnPanic(gate);
+                        // One arena for the worker's whole lifetime —
+                        // one allocation set per worker, not per
+                        // window.
                         let mut arena = WorkerArena::new();
                         loop {
-                            let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&i) = todo.get(k) else { break };
+                            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
                             let t = start_t + i as u64;
-                            let computed = process_window(
+                            if recovery.is_some_and(|r| r.windows.contains_key(&t)) {
+                                continue;
+                            }
+                            if !gate.wait_for(i) {
+                                break;
+                            }
+                            let slot = process_window(
                                 measurement,
                                 obs,
                                 t,
@@ -597,58 +522,66 @@ impl Pipeline {
                                 injector,
                                 &mut arena,
                             );
-                            if let Some(j) = journal {
-                                // Aborted windows are never journaled:
-                                // the run fails, and a resume must
-                                // recompute the window to reach the
-                                // same verdict. Append errors are
-                                // latched inside the journal and
-                                // surfaced after the scope joins.
-                                if computed.abort_fault.is_none() {
-                                    let _ = j.append(&computed.to_entry(t));
-                                }
+                            if tx.send((i, slot)).is_err() {
+                                break;
                             }
-                            out.push((i, computed));
                         }
-                        out
                     })
                 })
                 .collect();
+            drop(tx);
+            // The coordinator: refill the range, walk the ladder, then
+            // fold the window at the cursor — replayed from the
+            // journal, or computed and received.
+            let folded = loop {
+                if let Err(e) = range.refill(&gate).and_then(|()| range.checkpoint()) {
+                    break Err(e);
+                }
+                let Some(t) = range.cursor() else {
+                    break Ok(());
+                };
+                let slot = match recovery.and_then(|r| r.windows.get(&t)) {
+                    Some(entry) => WindowSlot::from_entry(entry),
+                    None => match range.receive(&rx, journal) {
+                        Ok(slot) => slot,
+                        Err(e) => break Err(e),
+                    },
+                };
+                if let Err(e) = range.fold(slot) {
+                    break Err(e);
+                }
+            };
+            gate.close();
+            let mut panicked = None;
             for h in handles {
-                let out = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                for (i, computed) in out {
-                    if let Some(slot) = slots.get_mut(i) {
-                        *slot = Some(computed);
-                    }
+                if let Err(payload) = h.join() {
+                    panicked.get_or_insert(payload);
                 }
             }
-        });
-        if let Some(j) = journal {
-            if let Some(fault) = j.take_fault() {
-                return Err(PipelineError::Journal(fault));
-            }
-        }
-        // Deterministic merge: strictly in window order, on one
-        // thread, skipping quarantined windows. The scope above joined
-        // every worker, so each slot is filled.
-        debug_assert!(slots.iter().all(Option::is_some));
-        let mut acc = MergeAcc::new(measurement, n);
-        time_stage(metrics, Stage::Merge, || {
-            for slot in slots.into_iter().flatten() {
-                acc.fold(slot);
+            // A worker that panicked outside window containment never
+            // delivered the window it held, so the capture cannot be
+            // complete: report the panic as that window's abort.
+            match panicked {
+                Some(payload) => Err(range.lost(panic_message(payload.as_ref()))),
+                None => folded,
             }
         });
+        range.release_all();
         if let Some(m) = metrics {
+            if governor.is_some() {
+                m.record_peak_accounted_bytes(budget.peak());
+            }
             m.add_capture_wall_ns(
                 u64::try_from(capture_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }
-        acc.finish(policy, n, metrics)
+        folded?;
+        range.acc.finish(policy, n, metrics)
     }
 }
 
 /// The outcome of a fault-tolerant pipeline run
-/// ([`Pipeline::pool_observatory_checked`]).
+/// ([`Pipeline::pool_observatory_durable`]).
 #[derive(Debug, Clone)]
 pub struct FaultTolerantPool {
     /// Pooled `D(d_i) ± σ(d_i)` over the surviving windows.
@@ -722,11 +655,11 @@ impl WindowSlot {
     }
 }
 
-/// The strictly window-ordered merge fold shared by the ungoverned
-/// and governed engines. Folding slots one at a time in window order
-/// replays the exact statement sequence of the historical merge loop,
-/// so both engines produce bit-identical pooled output for the same
-/// slots regardless of how the windows were scheduled.
+/// The strictly window-ordered merge fold shared by the capture engine
+/// and the federation merge. Folding slots one at a time in window
+/// order replays the exact statement sequence of a serial push, so the
+/// pooled output is bit-identical for the same slots regardless of how
+/// the windows were scheduled.
 pub(crate) struct MergeAcc {
     p: Pipeline,
     merged: DegreeHistogram,
@@ -818,421 +751,244 @@ impl MergeAcc {
     }
 }
 
-/// Measured bytes a completed slot retains until it drains into the
-/// merge: the binned stats plus the (possibly coarsened) histogram.
-/// Always dominated by [`CostModel::slot_bytes`] — the histogram
-/// support obeys the distinct-value bound and the `BinStats` vector
-/// the 64-bin cap — which is what makes the admission estimate an
-/// upper bound on the accounted peak.
-fn slot_measured_bytes(slot: &WindowSlot) -> u64 {
-    const SLOT_HEADER_BYTES: u64 = 256;
-    match &slot.result {
-        Some((stats, _, h)) => SLOT_HEADER_BYTES
-            .saturating_add(stats.approx_bytes())
-            .saturating_add(h.approx_bytes()),
-        None => SLOT_HEADER_BYTES,
-    }
+/// The coordinating thread's side of a capture: the in-flight range
+/// `[next, next + charges.len())` with each window's ledger charge,
+/// the reorder buffer of windows that arrived ahead of the fold
+/// cursor, and the window-ordered merge. Only the coordinating thread
+/// touches it, and every ledger call happens at a fold, so the charge
+/// sequence — and every rung decision keyed to it — is a pure function
+/// of `(configuration, budget, threads)`.
+struct InFlight<'a> {
+    acc: MergeAcc,
+    budget: &'a ResourceBudget,
+    injector: Option<&'a Injector>,
+    metrics: Option<&'a Metrics>,
+    start_t: u64,
+    n: usize,
+    window_bytes: u64,
+    /// Most windows the range may hold. `ShrinkWorkers` halves it,
+    /// `SpillPooled` drops it to one.
+    bound: usize,
+    /// Fold cursor: every window before it has been merged.
+    next: usize,
+    /// Ledger charge of each window in the range; front = `next`.
+    charges: VecDeque<u64>,
+    /// Windows received ahead of the cursor; front = `next`.
+    parked: VecDeque<Option<WindowSlot>>,
+    /// Bytes accounted for the merge-side state.
+    merged_accounted: u64,
 }
 
-/// Fold every contiguous completed slot from the front of the capture
-/// into the merge, releasing its retained bytes. The merge stays
-/// strictly window-ordered: only the prefix up to the first
-/// still-computing window can drain.
-fn drain_prefix(
-    acc: &mut MergeAcc,
-    slots: &mut [Option<WindowSlot>],
-    retained: &mut [u64],
-    next_merge: &mut usize,
-    budget: &ResourceBudget,
-    metrics: Option<&Metrics>,
-) {
-    time_stage(metrics, Stage::Merge, || {
-        while *next_merge < slots.len() {
-            let Some(slot) = slots[*next_merge].take() else {
+impl InFlight<'_> {
+    /// Index `t` of the window at the fold cursor, `None` once every
+    /// window has folded.
+    fn cursor(&self) -> Option<u64> {
+        (self.next < self.n).then(|| self.start_t + self.next as u64)
+    }
+
+    /// Enter windows into the range up to `bound`, charging each its
+    /// projected footprint — a ballast-injected window accounts for
+    /// extra multiples, simulating memory pressure without allocating
+    /// — then let the workers compute them. A window the hard
+    /// watermark refuses waits for an earlier one to fold; only an
+    /// empty range that cannot take one window aborts.
+    // lint:hot
+    fn refill(&mut self, gate: &Gate) -> Result<(), PipelineError> {
+        let end = self.next.saturating_add(self.bound).min(self.n);
+        while self.next + self.charges.len() < end {
+            let t = self.start_t + (self.next + self.charges.len()) as u64;
+            let mult = match self.injector.and_then(|inj| inj.plan(t, 0)) {
+                Some(InjectedFault::Ballast) => 1 + BALLAST_WINDOW_MULTIPLIER,
+                _ => 1,
+            };
+            let bytes = self.window_bytes.saturating_mul(mult);
+            match self.budget.try_acquire(bytes, t) {
+                Ok(_) => self.charges.push_back(bytes),
+                Err(fault) if self.charges.is_empty() => return Err(PipelineError::Budget(fault)),
+                Err(_) => break,
+            }
+        }
+        gate.open_to(self.next + self.charges.len());
+        Ok(())
+    }
+
+    /// While the soft watermark is breached, engage the next rung of
+    /// the ladder, recording each engagement as a typed event.
+    fn checkpoint(&mut self) -> Result<(), PipelineError> {
+        while self.budget.soft_breached() {
+            let engaged = self.acc.report.degradations.len();
+            let Some(&rung) = DegradationRung::ALL.get(engaged) else {
                 break;
             };
-            acc.fold(slot);
-            budget.release(retained[*next_merge]);
-            retained[*next_merge] = 0;
-            *next_merge += 1;
-        }
-    });
-}
-
-/// Acquire `bytes` from the ledger; on a hard-watermark refusal drain
-/// the mergeable prefix to free retained slots and retry once. The
-/// second refusal is final — the typed fault propagates and the
-/// capture aborts cleanly instead of overcommitting.
-#[allow(clippy::too_many_arguments)]
-fn acquire_with_drain(
-    bytes: u64,
-    window: u64,
-    budget: &ResourceBudget,
-    acc: &mut MergeAcc,
-    slots: &mut [Option<WindowSlot>],
-    retained: &mut [u64],
-    next_merge: &mut usize,
-    metrics: Option<&Metrics>,
-) -> Result<(), PipelineError> {
-    if budget.try_acquire(bytes, window).is_ok() {
-        return Ok(());
-    }
-    drain_prefix(acc, slots, retained, next_merge, budget, metrics);
-    budget
-        .try_acquire(bytes, window)
-        .map(|_| ())
-        .map_err(PipelineError::Budget)
-}
-
-/// While the soft watermark is breached, engage the next un-engaged
-/// [`DegradationRung`] (in ladder order), recording each engagement as
-/// a typed event. Once `SpillPooled` has engaged the capture stays in
-/// drain mode: every checkpoint folds the completed prefix.
-#[allow(clippy::too_many_arguments)]
-fn budget_checkpoint(
-    window: u64,
-    width: &mut usize,
-    engaged: &mut [bool; 3],
-    budget: &ResourceBudget,
-    acc: &mut MergeAcc,
-    slots: &mut [Option<WindowSlot>],
-    retained: &mut [u64],
-    next_merge: &mut usize,
-    metrics: Option<&Metrics>,
-) {
-    while budget.soft_breached() {
-        let Some(pos) = engaged.iter().position(|e| !e) else {
-            break;
-        };
-        engaged[pos] = true;
-        let rung = DegradationRung::ALL[pos];
-        acc.report.degradations.push(DegradationEvent {
-            rung,
-            window,
-            accounted_bytes: budget.accounted(),
-        });
-        if let Some(m) = metrics {
-            m.add_budget_degradation();
-        }
-        match rung {
-            DegradationRung::CoarsenBins => {
-                acc.coarsen = true;
-                acc.merged = coarsen_histogram(&acc.merged);
-                // Coarsen retained, not-yet-drained slot histograms in
-                // place and release the shrinkage. Coarsening commutes
-                // with summation and is idempotent, so the final
-                // merged histogram is independent of *when* this rung
-                // engaged. Journal entries are written before any
-                // checkpoint runs, so the journal always stores the
-                // fine-grained state.
-                for (slot, ret) in slots.iter_mut().zip(retained.iter_mut()) {
-                    if let Some(s) = slot.as_mut() {
-                        if let Some((_, _, h)) = s.result.as_mut() {
-                            *h = coarsen_histogram(h);
-                        }
-                        let now = slot_measured_bytes(s);
-                        if now < *ret {
-                            budget.release(*ret - now);
-                            *ret = now;
-                        }
-                    }
+            self.acc.report.degradations.push(DegradationEvent {
+                rung,
+                window: self.start_t + self.next as u64,
+                accounted_bytes: self.budget.accounted(),
+            });
+            if let Some(m) = self.metrics {
+                m.add_budget_degradation();
+            }
+            match rung {
+                // Coarsening commutes with summation and is
+                // idempotent, so the merged histogram does not depend
+                // on when this engaged; journal appends precede every
+                // fold, so the journal keeps the fine-grained state.
+                DegradationRung::CoarsenBins => {
+                    self.acc.coarsen = true;
+                    self.acc.merged = coarsen_histogram(&self.acc.merged);
+                    self.account_merge()?;
                 }
-            }
-            DegradationRung::ShrinkWorkers => {
-                *width = (*width / 2).max(1);
-            }
-            DegradationRung::SpillPooled => {
-                drain_prefix(acc, slots, retained, next_merge, budget, metrics);
+                DegradationRung::ShrinkWorkers => self.bound = (self.bound / 2).max(1),
+                DegradationRung::SpillPooled => self.bound = 1,
             }
         }
+        Ok(())
     }
-    // Drain mode: once slots spill, they keep spilling.
-    if engaged[2] {
-        drain_prefix(acc, slots, retained, next_merge, budget, metrics);
-    }
-}
 
-/// The governed engine (DESIGN.md §4g): width-limited batches of
-/// windows acquire their projected transient footprint before any
-/// worker spawns, completed slots are accounted at their measured
-/// size until they drain into the strictly window-ordered merge, and
-/// soft-watermark checkpoints between batches walk the degradation
-/// ladder. All ledger traffic happens on this coordinating thread at
-/// window boundaries, so the schedule — and every recorded event — is
-/// deterministic for a fixed `(configuration, budget, threads)`.
-#[allow(clippy::too_many_arguments)]
-// lint:hot
-fn governed_capture(
-    measurement: Measurement,
-    obs: &Observatory,
-    n: usize,
-    start_t: u64,
-    threads: usize,
-    metrics: Option<&Metrics>,
-    policy: &FailurePolicy,
-    injector: Option<&Injector>,
-    journal: Option<&Journal>,
-    mut slots: Vec<Option<WindowSlot>>,
-    gov: &Governor<'_>,
-    model: &CostModel,
-    // Capture wall-clock start, observability only. lint:allow(R2)
-    capture_start: std::time::Instant,
-) -> Result<FaultTolerantPool, PipelineError> {
-    let budget = gov.budget;
-    let window_bytes = model.window_bytes();
-    let mut width = threads;
-    let mut engaged = [false; 3];
-    let mut next_merge = 0usize;
-    let mut retained: Vec<u64> = vec![0u64; n];
-    let mut merged_accounted = 0u64;
-    let mut acc = MergeAcc::new(measurement, n);
-    // Account journal-replayed slots before computing anything: a
-    // `--resume` of a huge journal under a tight budget must degrade
-    // (or abort cleanly) exactly like a live capture would.
-    for b in 0..n {
-        let bytes = match &slots[b] {
-            Some(s) => slot_measured_bytes(s),
-            None => continue,
-        };
-        let t = start_t + b as u64;
-        acquire_with_drain(
-            bytes,
-            t,
-            budget,
-            &mut acc,
-            &mut slots,
-            &mut retained,
-            &mut next_merge,
-            metrics,
-        )?;
-        if next_merge > b {
-            // The fallback drain folded this very slot; nothing is
-            // retained.
-            budget.release(bytes);
-        } else {
-            retained[b] = bytes;
-        }
-    }
-    if budget.soft_breached() {
-        budget_checkpoint(
-            start_t,
-            &mut width,
-            &mut engaged,
-            budget,
-            &mut acc,
-            &mut slots,
-            &mut retained,
-            &mut next_merge,
-            metrics,
-        );
-    }
-    let mut i = 0usize;
-    // Batch bookkeeping reused across iterations: cleared (capacity
-    // kept) each round instead of reallocated per batch.
-    let mut batch: Vec<usize> = Vec::new();
-    let mut results: Vec<Option<WindowSlot>> = Vec::new();
-    // One arena per worker slot, hoisted out of the batch loop so the
-    // hot per-window buffers survive across batches. A batch never
-    // exceeds `width ≤ threads` windows, so zipping batch indices with
-    // arenas always has an arena for every worker.
-    let mut arenas: Vec<WorkerArena> = (0..threads).map(|_| WorkerArena::new()).collect();
-    while i < n {
-        // Collect the next batch: up to `width` not-yet-computed
-        // windows (replayed slots are skipped — already accounted).
-        batch.clear();
-        let mut j = i;
-        while j < n && batch.len() < width {
-            if slots[j].is_none() {
-                batch.push(j);
+    /// Receive completed windows until the one at the cursor is here,
+    /// journaling each on arrival (aborted windows never: a resume
+    /// must recompute them to reach the same verdict).
+    // lint:hot
+    fn receive(
+        &mut self,
+        rx: &std::sync::mpsc::Receiver<(usize, WindowSlot)>,
+        journal: Option<&Journal>,
+    ) -> Result<WindowSlot, PipelineError> {
+        loop {
+            if let Some(slot) = self.parked.front_mut().and_then(Option::take) {
+                return Ok(slot);
             }
-            j += 1;
-        }
-        i = j;
-        if batch.is_empty() {
-            continue;
-        }
-        // Acquire the batch's projected transient footprint up front.
-        // A ballast-injected window accounts for extra multiples of
-        // the window footprint — simulated memory pressure that
-        // exercises the ladder without allocating. Under hard
-        // pressure the batch *shrinks* instead of aborting: the
-        // admission floor guaranteed that at least one window at a
-        // time fits, so only a genuinely overcommitted ledger (e.g. a
-        // replay-heavy resume) can still abort here.
-        let projected = |batch: &[usize]| -> u64 {
-            let mut transient = 0u64;
-            for &b in batch {
-                let t = start_t + b as u64;
-                let mult = match injector.and_then(|inj| inj.plan(t, 0)) {
-                    Some(InjectedFault::Ballast) => 1 + BALLAST_WINDOW_MULTIPLIER,
-                    _ => 1,
-                };
-                transient = transient.saturating_add(window_bytes.saturating_mul(mult));
-            }
-            transient
-        };
-        let t0 = start_t + batch[0] as u64;
-        let transient = loop {
-            let transient = projected(&batch);
-            if budget.try_acquire(transient, t0).is_ok() {
-                break transient;
-            }
-            drain_prefix(
-                &mut acc,
-                &mut slots,
-                &mut retained,
-                &mut next_merge,
-                budget,
-                metrics,
-            );
-            if budget.try_acquire(transient, t0).is_ok() {
-                break transient;
-            }
-            match batch.pop() {
-                // Backpressure: defer the batch's tail window to a
-                // later batch and retry with fewer in flight.
-                Some(popped) if !batch.is_empty() => i = popped,
-                _ => {
-                    return Err(PipelineError::Budget(
-                        crate::budget::BudgetFault::HardWatermark {
-                            accounted: budget.accounted().saturating_add(transient),
-                            limit: budget.hard().unwrap_or(0),
-                            window: t0,
-                        },
-                    ));
-                }
-            }
-        };
-        // The batch may have shrunk under pressure; re-anchor the
-        // checkpoint position to its actual tail.
-        let Some(&last_b) = batch.last() else {
-            continue;
-        };
-        // Compute the batch: one worker per window, joined before any
-        // ledger or journal traffic resumes.
-        results.clear();
-        results.resize_with(batch.len(), || None);
-        std::thread::scope(|s| {
-            for ((slot, &b), arena) in results.iter_mut().zip(&batch).zip(arenas.iter_mut()) {
-                let t = start_t + b as u64;
-                s.spawn(move || {
-                    // The governed path spawns one worker per batch
-                    // window; each borrows a long-lived arena, so the
-                    // hot buffers are reused across the window's retry
-                    // attempts *and* across batches.
-                    *slot = Some(process_window(
-                        measurement,
-                        obs,
-                        t,
-                        metrics,
-                        policy,
-                        injector,
-                        arena,
-                    ));
-                });
-            }
-        });
-        // Journal on the coordinating thread, in window order, before
-        // any degradation checkpoint can coarsen slot state — the
-        // journal always stores fine-grained histograms, so a resume
-        // under a different budget stays byte-exact.
-        for (computed, &b) in results.drain(..).zip(&batch) {
-            let Some(computed) = computed else { continue };
-            if let Some(j) = journal {
-                if computed.abort_fault.is_none() {
-                    let _ = j.append(&computed.to_entry(start_t + b as u64));
-                }
-            }
-            slots[b] = Some(computed);
-        }
-        if let Some(j) = journal {
-            if let Some(fault) = j.take_fault() {
-                return Err(PipelineError::Journal(fault));
-            }
-        }
-        // Checkpoint while the batch's transient footprint is still
-        // accounted — the soft watermark must see the pressure the
-        // batch actually exerted, or the ladder would never engage
-        // (transients dominate the retained state).
-        budget_checkpoint(
-            start_t + last_b as u64,
-            &mut width,
-            &mut engaged,
-            budget,
-            &mut acc,
-            &mut slots,
-            &mut retained,
-            &mut next_merge,
-            metrics,
-        );
-        budget.release(transient);
-        // Swap the transient footprint for each slot's measured
-        // retained size.
-        for &b in &batch {
-            let bytes = match &slots[b] {
-                Some(s) => slot_measured_bytes(s),
-                None => continue,
+            let Ok((i, slot)) = rx.recv() else {
+                // Every worker has exited and the window at the cursor
+                // never arrived. Fail typed rather than wait forever.
+                return Err(self.lost("capture worker exited before delivering it".into()));
             };
-            acquire_with_drain(
-                bytes,
-                start_t + b as u64,
-                budget,
-                &mut acc,
-                &mut slots,
-                &mut retained,
-                &mut next_merge,
-                metrics,
-            )?;
-            if next_merge > b {
-                budget.release(bytes);
-            } else {
-                retained[b] = bytes;
+            if let Some(j) = journal {
+                if slot.abort_fault.is_none() {
+                    j.append(&slot.to_entry(self.start_t + i as u64))
+                        .map_err(PipelineError::Journal)?;
+                }
+            }
+            let Some(k) = i.checked_sub(self.next) else {
+                continue;
+            };
+            if self.parked.len() <= k {
+                self.parked.resize_with(k + 1, || None);
+            }
+            if let Some(parked) = self.parked.get_mut(k) {
+                *parked = Some(slot);
             }
         }
-        // Re-account the merge-side state the checkpoint and drains
-        // may have grown.
-        let merged_now = acc
+    }
+
+    /// The typed abort for the window at the cursor when the worker
+    /// computing it is gone.
+    fn lost(&self, message: String) -> PipelineError {
+        PipelineError::WindowAborted {
+            window: self.start_t + self.next as u64,
+            attempts: 0,
+            fault: WindowFault::Panic { message },
+        }
+    }
+
+    /// Fold the window at the cursor, release its charge and advance
+    /// the range by one index.
+    fn fold(&mut self, slot: WindowSlot) -> Result<(), PipelineError> {
+        time_stage(self.metrics, Stage::Merge, || self.acc.fold(slot));
+        self.parked.pop_front();
+        if let Some(bytes) = self.charges.pop_front() {
+            self.budget.release(bytes);
+        }
+        self.next += 1;
+        self.account_merge()
+    }
+
+    /// Re-account the merge-side state the last fold or coarsening
+    /// changed.
+    fn account_merge(&mut self) -> Result<(), PipelineError> {
+        let now = self
+            .acc
             .merged
             .approx_bytes()
-            .saturating_add(acc.p.stats.approx_bytes());
-        if merged_now > merged_accounted {
-            acquire_with_drain(
-                merged_now - merged_accounted,
-                start_t + last_b as u64,
-                budget,
-                &mut acc,
-                &mut slots,
-                &mut retained,
-                &mut next_merge,
-                metrics,
-            )?;
+            .saturating_add(self.acc.p.stats.approx_bytes());
+        if now > self.merged_accounted {
+            let window = self.start_t + self.next as u64;
+            self.budget
+                .try_acquire(now - self.merged_accounted, window)
+                .map_err(PipelineError::Budget)?;
         } else {
-            budget.release(merged_accounted - merged_now);
+            self.budget.release(self.merged_accounted - now);
         }
-        merged_accounted = merged_now;
-        if let Some(m) = metrics {
-            m.record_peak_accounted_bytes(budget.peak());
+        self.merged_accounted = now;
+        Ok(())
+    }
+
+    /// Return every outstanding charge to the ledger.
+    fn release_all(&mut self) {
+        let held: u64 = self.charges.drain(..).sum();
+        self.budget
+            .release(held.saturating_add(self.merged_accounted));
+        self.merged_accounted = 0;
+    }
+}
+
+/// How far workers may compute: windows below `open` have entered the
+/// in-flight range. Closing it sends every waiting worker home.
+#[derive(Default)]
+struct Gate {
+    state: std::sync::Mutex<GateState>,
+    moved: std::sync::Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    open: usize,
+    closed: bool,
+}
+
+impl Gate {
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn open_to(&self, end: usize) {
+        let mut s = self.lock();
+        if end > s.open {
+            s.open = end;
+            self.moved.notify_all();
         }
     }
-    // Every slot is filled, so the final drain folds the whole
-    // capture in window order.
-    drain_prefix(
-        &mut acc,
-        &mut slots,
-        &mut retained,
-        &mut next_merge,
-        budget,
-        metrics,
-    );
-    debug_assert_eq!(next_merge, n);
-    budget.release(merged_accounted);
-    if let Some(m) = metrics {
-        m.record_peak_accounted_bytes(budget.peak());
-        m.add_capture_wall_ns(
-            u64::try_from(capture_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.moved.notify_all();
     }
-    acc.finish(policy, n, metrics)
+
+    /// Block until window `i` has entered the range (`true`) or the
+    /// capture has ended (`false`).
+    fn wait_for(&self, i: usize) -> bool {
+        let mut s = self.lock();
+        while !s.closed && i >= s.open {
+            s = self
+                .moved
+                .wait(s)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        !s.closed
+    }
+}
+
+/// Closes the gate if the worker holding it unwinds.
+struct CloseOnPanic<'a>(&'a Gate);
+
+impl Drop for CloseOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
 }
 
 /// Drive one window through its attempt loop and dispose of it per the
@@ -1296,98 +1052,47 @@ fn process_window(
             Err(f) => last_fault = Some(f),
         }
     }
-    if let Some(r) = result {
-        // Clean first attempt ⇒ no record at all; a rescued window is
-        // recorded with the fault its failed attempt(s) exhibited.
-        let record = if attempts > 1 {
-            last_fault.as_ref().map(|f| FaultRecord {
-                window: t,
-                kind: f.kind(),
-                attempts,
-                outcome: WindowOutcome::Recovered,
-            })
-        } else {
-            None
-        };
-        return WindowSlot {
-            result: Some(r),
-            record,
-            injected,
-            retries: (attempts - 1) as u64,
-            abort_fault: None,
-        };
-    }
-    // Retry budget exhausted: dispose per policy. The loop ran at
-    // least once and every attempt failed, so a fault was captured.
-    let fault = match last_fault {
-        Some(f) => f,
-        None => WindowFault::EmptyHistogram,
-    };
-    match policy.on_fault {
-        FaultAction::Abort => WindowSlot {
-            result: None,
-            record: Some(FaultRecord {
-                window: t,
-                kind: fault.kind(),
-                attempts,
-                outcome: WindowOutcome::Aborted,
-            }),
-            injected,
-            retries: (attempts - 1) as u64,
-            abort_fault: Some(fault),
-        },
-        FaultAction::Quarantine => WindowSlot {
-            result: None,
-            record: Some(FaultRecord {
-                window: t,
-                kind: fault.kind(),
-                attempts,
-                outcome: WindowOutcome::Quarantined,
-            }),
-            injected,
-            retries: (attempts - 1) as u64,
-            abort_fault: None,
-        },
-        FaultAction::Substitute => {
-            // One extra deterministic re-synthesis, never injected and
-            // never watchdogged — it is the last resort.
-            attempts += 1;
-            match attempt_window(
-                measurement,
-                obs,
-                t,
-                policy.max_retries + 1,
-                None,
-                None,
-                metrics,
-                arena,
-            ) {
-                Ok(r) => WindowSlot {
-                    result: Some(r),
-                    record: Some(FaultRecord {
-                        window: t,
-                        kind: fault.kind(),
-                        attempts,
-                        outcome: WindowOutcome::Substituted,
-                    }),
-                    injected,
-                    retries: (attempts - 1) as u64,
-                    abort_fault: None,
-                },
-                Err(f2) => WindowSlot {
-                    result: None,
-                    record: Some(FaultRecord {
-                        window: t,
-                        kind: f2.kind(),
-                        attempts,
-                        outcome: WindowOutcome::Quarantined,
-                    }),
-                    injected,
-                    retries: (attempts - 1) as u64,
-                    abort_fault: None,
-                },
+    // A clean first attempt leaves no record; a rescued window is
+    // recorded with the fault its failed attempt(s) exhibited. A window
+    // out of retries is disposed of per policy — the loop ran at least
+    // once and every attempt failed, so a fault was captured.
+    let (result, record, abort_fault) = match result {
+        Some(r) => {
+            let record = last_fault
+                .filter(|_| attempts > 1)
+                .map(|f| (f.kind(), WindowOutcome::Recovered));
+            (Some(r), record, None)
+        }
+        None => {
+            let fault = last_fault.unwrap_or(WindowFault::EmptyHistogram);
+            let kind = fault.kind();
+            match policy.on_fault {
+                FaultAction::Abort => (None, Some((kind, WindowOutcome::Aborted)), Some(fault)),
+                FaultAction::Quarantine => (None, Some((kind, WindowOutcome::Quarantined)), None),
+                // One extra deterministic re-synthesis, never injected
+                // and never watchdogged — it is the last resort.
+                FaultAction::Substitute => {
+                    attempts += 1;
+                    let last = policy.max_retries + 1;
+                    match attempt_window(measurement, obs, t, last, None, None, metrics, arena) {
+                        Ok(r) => (Some(r), Some((kind, WindowOutcome::Substituted)), None),
+                        Err(f) => (None, Some((f.kind(), WindowOutcome::Quarantined)), None),
+                    }
+                }
             }
         }
+    };
+    WindowSlot {
+        result,
+        record: record.map(|(kind, outcome)| FaultRecord {
+            window: t,
+            kind,
+            attempts,
+            outcome,
+        }),
+        injected,
+        retries: (attempts - 1) as u64,
+        abort_fault,
     }
 }
 
@@ -1758,13 +1463,15 @@ mod tests {
         let windows = serial_obs.windows(7);
         let serial = Pipeline::pool(Measurement::UndirectedDegree, &windows);
         let mut obs = observatory(11);
-        let ft = Pipeline::pool_observatory_checked(
+        let ft = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             7,
             3,
             None,
             &FailurePolicy::strict(),
+            None,
+            None,
             None,
         )
         .unwrap();
@@ -1795,13 +1502,15 @@ mod tests {
     #[test]
     fn checked_engine_rejects_zero_windows() {
         let mut obs = observatory(12);
-        let err = Pipeline::pool_observatory_checked(
+        let err = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             0,
             4,
             None,
             &FailurePolicy::strict(),
+            None,
+            None,
             None,
         )
         .unwrap_err();
@@ -1827,7 +1536,7 @@ mod tests {
             },
             5,
         );
-        let err = Pipeline::pool_observatory_checked(
+        let err = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             6,
@@ -1835,6 +1544,8 @@ mod tests {
             None,
             &FailurePolicy::strict(),
             Some(&inj),
+            None,
+            None,
         )
         .unwrap_err();
         match err {
@@ -1863,7 +1574,7 @@ mod tests {
         let run = |threads: usize| {
             let mut obs = observatory(33);
             let inj = Injector::new(InjectionSpec::uniform(0.5), 33);
-            Pipeline::pool_observatory_checked(
+            Pipeline::pool_observatory_durable(
                 Measurement::UndirectedDegree,
                 &mut obs,
                 12,
@@ -1871,6 +1582,8 @@ mod tests {
                 None,
                 &FailurePolicy::quarantine(1),
                 Some(&inj),
+                None,
+                None,
             )
             .unwrap()
         };
@@ -1900,7 +1613,7 @@ mod tests {
             ..FailurePolicy::quarantine(0)
         };
         let mut obs = observatory(14);
-        let err = Pipeline::pool_observatory_checked(
+        let err = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             8,
@@ -1908,6 +1621,8 @@ mod tests {
             None,
             &tight,
             Some(&inj),
+            None,
+            None,
         )
         .unwrap_err();
         assert!(
@@ -1947,13 +1662,15 @@ mod tests {
             params: vec![],
         };
         let mut obs = observatory(21);
-        let baseline = Pipeline::pool_observatory_checked(
+        let baseline = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             8,
             3,
             None,
             &FailurePolicy::strict(),
+            None,
+            None,
             None,
         )
         .unwrap();
@@ -2023,7 +1740,7 @@ mod tests {
             ..FailurePolicy::quarantine(2)
         }
         .with_deadline_ms(100);
-        let ft = Pipeline::pool_observatory_checked(
+        let ft = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             6,
@@ -2031,6 +1748,8 @@ mod tests {
             None,
             &policy,
             Some(&inj),
+            None,
+            None,
         )
         .unwrap();
         let stalled: Vec<_> = ft
@@ -2057,13 +1776,15 @@ mod tests {
         // Without --window-deadline-ms the stall only delays; results
         // stay bit-identical to a clean run.
         let mut obs = observatory(23);
-        let clean = Pipeline::pool_observatory_checked(
+        let clean = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             3,
             2,
             None,
             &FailurePolicy::strict(),
+            None,
+            None,
             None,
         )
         .unwrap();
@@ -2075,7 +1796,7 @@ mod tests {
             9,
         );
         let mut obs = observatory(23);
-        let stalled = Pipeline::pool_observatory_checked(
+        let stalled = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             3,
@@ -2083,6 +1804,8 @@ mod tests {
             None,
             &FailurePolicy::strict(),
             Some(&inj),
+            None,
+            None,
         )
         .unwrap();
         assert_bitwise_equal(&stalled.pooled, &clean.pooled, "unwatched stall");
@@ -2128,13 +1851,15 @@ mod tests {
     #[test]
     fn governed_ample_budget_is_bit_identical_to_ungoverned() {
         let mut obs = observatory(31);
-        let baseline = Pipeline::pool_observatory_checked(
+        let baseline = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             8,
             4,
             None,
             &FailurePolicy::strict(),
+            None,
+            None,
             None,
         )
         .unwrap();
@@ -2163,13 +1888,15 @@ mod tests {
         let limit = model.floor_bytes() + model.window_bytes();
         assert!(limit < model.peak_bytes(4), "budget genuinely tight");
         let mut obs = observatory(32);
-        let baseline = Pipeline::pool_observatory_checked(
+        let baseline = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             8,
             4,
             None,
             &FailurePolicy::strict(),
+            None,
+            None,
             None,
         )
         .unwrap();
@@ -2235,7 +1962,7 @@ mod tests {
             Some(&gov),
         );
         assert!(refused.is_err());
-        let after = Pipeline::pool_observatory_checked(
+        let after = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             8,
@@ -2243,16 +1970,20 @@ mod tests {
             None,
             &FailurePolicy::strict(),
             None,
+            None,
+            None,
         )
         .unwrap();
         let mut fresh = observatory(33);
-        let fresh_run = Pipeline::pool_observatory_checked(
+        let fresh_run = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut fresh,
             8,
             4,
             None,
             &FailurePolicy::strict(),
+            None,
+            None,
             None,
         )
         .unwrap();

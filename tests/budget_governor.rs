@@ -4,9 +4,9 @@
 //! The guarantees under test:
 //!
 //! 1. **Byte-identity without a budget** — every pool entry point
-//!    (`pool_observatory_checked`, `pool_observatory_durable`,
-//!    `pool_observatory_governed` with no governor, and with an ample
-//!    governor) produces bit-identical pooled `D(d_i)`.
+//!    (`pool_observatory_durable`, `pool_observatory_governed` with no
+//!    governor, and with an ample governor) produces bit-identical
+//!    pooled `D(d_i)`.
 //! 2. **Admission soundness** — across a sweep of configurations the
 //!    projected peak upper-bounds the peak the ledger actually
 //!    records, and a budget below the degraded floor is refused with
@@ -122,13 +122,15 @@ fn every_entry_point_is_bit_identical_without_a_budget() {
     let governed_none = run(&gen, 4, None, None, None).expect("governed, no governor");
 
     let mut obs = observatory(&gen, N_V);
-    let checked = Pipeline::pool_observatory_checked(
+    let checked = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
         4,
         None,
         &FailurePolicy::strict(),
+        None,
+        None,
         None,
     )
     .expect("checked");
@@ -387,4 +389,50 @@ fn journal_resume_under_a_tight_budget_degrades_and_matches() {
         "replaying {WINDOWS} retained slots past a 1 KiB soft watermark must degrade"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn accounted_peak_is_independent_of_capture_length() {
+    // Completed windows fold as soon as they are contiguous, so the
+    // ledger holds the in-flight range and the merge state — never one
+    // slot per captured window. Ten times the windows, same peak.
+    let gen = generator();
+    let peak = |windows: usize| {
+        let budget = ResourceBudget::with_limit(u64::MAX / 4);
+        let gov = Governor {
+            budget: &budget,
+            strict_admission: false,
+        };
+        let metrics = Metrics::new();
+        let mut obs = observatory(&gen, N_V);
+        Pipeline::pool_observatory_governed(
+            Measurement::UndirectedDegree,
+            &mut obs,
+            windows,
+            4,
+            Some(&metrics),
+            &FailurePolicy::strict(),
+            None,
+            None,
+            None,
+            Some(&gov),
+        )
+        .expect("ample capture");
+        let snap = metrics.snapshot();
+        assert!(
+            snap.admission_estimate_bytes >= budget.peak(),
+            "estimate {} < actual peak {} at {windows} windows",
+            snap.admission_estimate_bytes,
+            budget.peak()
+        );
+        assert_eq!(budget.accounted(), 0, "ledger leak at {windows} windows");
+        budget.peak()
+    };
+    let short = peak(48);
+    let long = peak(480);
+    assert!(short > 0, "ledger must have recorded");
+    assert!(
+        long.abs_diff(short) * 20 <= short,
+        "peak accounted bytes grew with capture length: {short} at 48 windows, {long} at 480"
+    );
 }

@@ -54,7 +54,7 @@ fn half_rate_injection_is_deterministic_across_threads_and_reruns() {
     for (threads, seed_round) in [(1usize, 0), (2, 0), (8, 0), (8, 1)] {
         let mut obs = observatory(21, 2_000);
         let injector = Injector::new(spec, 77);
-        let ft = Pipeline::pool_observatory_checked(
+        let ft = Pipeline::pool_observatory_durable(
             Measurement::UndirectedDegree,
             &mut obs,
             WINDOWS,
@@ -62,6 +62,8 @@ fn half_rate_injection_is_deterministic_across_threads_and_reruns() {
             None,
             &policy,
             Some(&injector),
+            None,
+            None,
         )
         .unwrap();
         assert!(ft.report.injected > 0, "50% rate over 64 windows");
@@ -119,7 +121,7 @@ fn injected_count_matches_an_independent_plan_recount() {
     let spec = InjectionSpec::uniform(0.4);
     let mut obs = observatory(5, 2_000);
     let injector = Injector::new(spec, 13);
-    let ft = Pipeline::pool_observatory_checked(
+    let ft = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
@@ -127,6 +129,8 @@ fn injected_count_matches_an_independent_plan_recount() {
         None,
         &FailurePolicy::quarantine(0),
         Some(&injector),
+        None,
+        None,
     )
     .unwrap();
     let recount = Injector::new(spec, 13);
@@ -144,7 +148,7 @@ fn substitute_policy_always_delivers_every_window() {
     const WINDOWS: usize = 16;
     let mut obs = observatory(9, 2_000);
     let injector = Injector::new(InjectionSpec::uniform(0.8), 3);
-    let ft = Pipeline::pool_observatory_checked(
+    let ft = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
@@ -152,6 +156,8 @@ fn substitute_policy_always_delivers_every_window() {
         None,
         &FailurePolicy::substitute(1),
         Some(&injector),
+        None,
+        None,
     )
     .unwrap();
     assert_eq!(ft.pooled.windows, WINDOWS as u64);
@@ -177,13 +183,15 @@ fn clean_checked_run_is_bit_identical_to_the_serial_fold() {
         Pipeline::pool(Measurement::UndirectedDegree, &windows)
     };
     let mut obs = observatory(33, 3_000);
-    let ft = Pipeline::pool_observatory_checked(
+    let ft = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
         8,
         None,
         &FailurePolicy::strict(),
+        None,
+        None,
         None,
     )
     .unwrap();
@@ -207,7 +215,7 @@ fn worker_panics_are_contained_and_classified() {
     };
     let mut obs = observatory(2, 2_000);
     let injector = Injector::new(spec, 1);
-    let ft = Pipeline::pool_observatory_checked(
+    let ft = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
@@ -215,6 +223,8 @@ fn worker_panics_are_contained_and_classified() {
         None,
         &FailurePolicy::quarantine(0),
         Some(&injector),
+        None,
+        None,
     )
     .unwrap();
     assert_eq!(ft.report.quarantined, WINDOWS as u64);
@@ -261,7 +271,7 @@ fn quarantine_threshold_boundary_is_inclusive() {
     };
     let mut obs = observatory(6, 2_000);
     let injector = Injector::new(spec, seed);
-    let ft = Pipeline::pool_observatory_checked(
+    let ft = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
@@ -269,6 +279,8 @@ fn quarantine_threshold_boundary_is_inclusive() {
         None,
         &at_threshold,
         Some(&injector),
+        None,
+        None,
     )
     .expect("a quarantined fraction exactly at the threshold must pass");
     assert_eq!(ft.report.quarantined, 3);
@@ -281,7 +293,7 @@ fn quarantine_threshold_boundary_is_inclusive() {
     };
     let mut obs = observatory(6, 2_000);
     let injector = Injector::new(spec, seed);
-    let err = Pipeline::pool_observatory_checked(
+    let err = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
@@ -289,6 +301,8 @@ fn quarantine_threshold_boundary_is_inclusive() {
         None,
         &below,
         Some(&injector),
+        None,
+        None,
     )
     .unwrap_err();
     match err {
@@ -320,7 +334,7 @@ fn duplicate_storm_faults_are_recounted_and_recovered_end_to_end() {
     };
     let mut obs = observatory(11, 2_000);
     let injector = Injector::new(spec, 41);
-    let ft = Pipeline::pool_observatory_checked(
+    let ft = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
@@ -328,6 +342,8 @@ fn duplicate_storm_faults_are_recounted_and_recovered_end_to_end() {
         None,
         &FailurePolicy::quarantine(RETRIES),
         Some(&injector),
+        None,
+        None,
     )
     .unwrap();
 

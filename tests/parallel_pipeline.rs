@@ -100,6 +100,27 @@ fn metrics_snapshot_counts_the_parallel_workload() {
     // thread and may be too fast to register on a coarse clock.
     assert!(snap.synthesize_ns > 0);
     assert!(snap.histogram_ns > 0);
+
+    // `threads` counts the workers actually spawned, not the request:
+    // a 64-thread request is capped at the host's effective
+    // parallelism (floor 2).
+    let metrics = Metrics::new();
+    let mut obs = observatory(7, 2_000);
+    let pooled = Pipeline::pool_observatory_parallel(
+        Measurement::UndirectedDegree,
+        &mut obs,
+        64,
+        64,
+        Some(&metrics),
+    );
+    assert_eq!(pooled.windows, 64);
+    let snap = metrics.snapshot();
+    let cores = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
+    assert!(
+        snap.threads <= cores as u64,
+        "{} workers recorded on a host with {cores} effective cores",
+        snap.threads
+    );
 }
 
 #[test]
