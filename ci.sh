@@ -56,6 +56,16 @@ cargo test -q -p palu-suite --test parallel_pipeline \
 cargo run -q --release -p palu-bench --bin pipeline -- --gate
 test -s results/BENCH_pipeline.json
 
+echo "== bootstrap scaling gate =="
+# fit_bootstrap draws its resamples in order on the caller's RNG and
+# refits them across cores (DESIGN.md §4m). The bench binary times it
+# against a serial replay built from public calls in the same run,
+# asserts identical replicates, and with --gate requires a speedup
+# ≥ 0.75 × min(2, effective cores); it records
+# results/BENCH_bootstrap.json.
+cargo run -q --release -p palu-bench --bin bootstrap -- --gate
+test -s results/BENCH_bootstrap.json
+
 echo "== fault-injection smoke matrix (0%, 5%, 50%) =="
 # The quarantine policy must complete at every injection rate, with a
 # clean report at 0% and a non-empty quarantine set at 50%.
@@ -85,6 +95,37 @@ for rate in 0 0.05 0.5; do
         exit 1
     fi
 done
+
+echo "== bootstrap core-count smoke (taskset -c 0 vs all cores) =="
+# Bootstrap output must not depend on the core count: the same
+# fit --boot and gof --boot runs pinned to one core (no refit workers)
+# and unpinned (refits spread over every core) must print the same
+# bytes.
+command -v taskset >/dev/null || {
+    echo "ci: taskset (util-linux) is required for the bootstrap smoke" >&2
+    exit 1
+}
+boot_dir="$smoke_dir/bootstrap"
+mkdir -p "$boot_dir"
+./target/release/palu-cli generate --nodes 20000 --core 0.5 --leaves 0.2 \
+    --lambda 3 --alpha 2 --seed 3 --out "$boot_dir/edges.txt" 2>/dev/null
+./target/release/palu-cli degrees --in "$boot_dir/edges.txt" \
+    --out "$boot_dir/hist.txt" 2>/dev/null
+for pin in all one; do
+    pin_cmd=()
+    if [ "$pin" = one ]; then
+        pin_cmd=(taskset -c 0)
+    fi
+    "${pin_cmd[@]}" ./target/release/palu-cli fit --in "$boot_dir/hist.txt" \
+        --boot 20 --out "$boot_dir/fit_$pin.txt" 2>/dev/null
+    "${pin_cmd[@]}" ./target/release/palu-cli gof --in "$boot_dir/hist.txt" \
+        --boot 50 --out "$boot_dir/gof_$pin.txt" 2>/dev/null
+done
+cmp "$boot_dir/fit_all.txt" "$boot_dir/fit_one.txt"
+cmp "$boot_dir/gof_all.txt" "$boot_dir/gof_one.txt"
+grep -q "90% CI" "$boot_dir/fit_all.txt"
+grep -q "goodness of fit: p = " "$boot_dir/gof_all.txt"
+echo "bootstrap: fit --boot 20 and gof --boot 50 byte-identical on one core and on all cores"
 
 echo "== crash-recovery smoke (SIGKILL mid-capture + resume) =="
 # A durable capture killed with SIGKILL must resume from its journal

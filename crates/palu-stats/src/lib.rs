@@ -29,9 +29,13 @@
 //!   the paper contrasts its hybrid model against.
 //! * [`rng`] — deterministic seeding utilities so every experiment in the
 //!   reproduction is replayable.
+//! * [`boot`] — the bootstrap driver: draws stay in order on the
+//!   caller's RNG, refits spread across cores.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+/// Bootstrap driver: serial draws, parallel refits, index-ordered output.
+pub mod boot;
 /// Exact samplers for the distributions the PALU model composes.
 pub mod distributions;
 /// The shared error type for statistical routines.

@@ -17,6 +17,7 @@
 //! comparison (it is the common shortcut and is visibly biased for
 //! small `x_min`).
 
+use crate::boot::{refit_in_order, refit_threads};
 use crate::error::StatsError;
 use crate::histogram::DegreeHistogram;
 use crate::ks::ks_distance_tail;
@@ -449,6 +450,11 @@ pub struct GoodnessOfFit {
 /// prescribe, so the p-value accounts for the flexibility of the
 /// fitting procedure itself.
 ///
+/// The synthetic replicates are drawn on the calling thread, in order,
+/// so `rng` is consumed exactly as a serial draw-and-refit loop
+/// consumes it; only the refits run in parallel ([`crate::boot`]). The
+/// p-value and replicate distances do not depend on the core count.
+///
 /// # Errors
 ///
 /// Propagates fitting errors on the original data; replicates that
@@ -473,8 +479,7 @@ pub fn goodness_of_fit<R: Rng + ?Sized>(
     }
     let tail_prob = fit.n_tail as f64 / n as f64;
 
-    let mut replicate_ks = Vec::with_capacity(n_boot);
-    for _ in 0..n_boot {
+    let draw = |_| {
         let mut boot = DegreeHistogram::new();
         for _ in 0..n {
             let d = if body_total == 0 || rng.gen::<f64>() < tail_prob {
@@ -486,10 +491,12 @@ pub fn goodness_of_fit<R: Rng + ?Sized>(
             };
             boot.increment(d, 1);
         }
-        if let Ok(refit) = fit_csn(&boot, opts) {
-            replicate_ks.push(refit.ks);
-        }
-    }
+        Ok(boot)
+    };
+    let refits = refit_in_order(n_boot, refit_threads(n_boot), draw, |boot| {
+        fit_csn(&boot, opts).ok().map(|refit| refit.ks)
+    })?;
+    let mut replicate_ks: Vec<f64> = refits.into_iter().flatten().collect();
     if replicate_ks.is_empty() {
         return Err(StatsError::EmptyInput {
             routine: "goodness_of_fit",

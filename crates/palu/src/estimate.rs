@@ -18,6 +18,7 @@
 //! completes the recovery of the window-invariant `(C, L, U, λ, α)`.
 
 use crate::simplified::SimplifiedParams;
+use palu_stats::boot::{refit_in_order, refit_threads};
 use palu_stats::error::StatsError;
 use palu_stats::histogram::DegreeHistogram;
 use palu_stats::regression::weighted_ols;
@@ -506,6 +507,12 @@ impl PaluEstimator {
     /// Bootstrap the pipeline: `n_boot` multinomial resamples, refit
     /// each, percentile intervals at confidence `level` (e.g. 0.9).
     ///
+    /// The resamples are drawn on the calling thread, in order, so
+    /// `rng` is consumed exactly as a serial resample-and-refit loop
+    /// consumes it; only the refits run in parallel
+    /// ([`palu_stats::boot`]). The output does not depend on the core
+    /// count.
+    ///
     /// # Errors
     ///
     /// Propagates the point estimate's errors; [`StatsError::Domain`]
@@ -532,16 +539,19 @@ impl PaluEstimator {
             ));
         }
         let point = self.estimate(h)?;
+        let estimates = refit_in_order(
+            n_boot,
+            refit_threads(n_boot),
+            |_| Ok::<_, StatsError>(h.resample(rng)),
+            |boot| self.estimate(&boot).ok().map(|est| est.simplified),
+        )?;
         let mut alphas = Vec::with_capacity(n_boot);
         let mut lambda_ps = Vec::with_capacity(n_boot);
         let mut ls = Vec::with_capacity(n_boot);
-        for _ in 0..n_boot {
-            let boot = h.resample(rng);
-            if let Ok(est) = self.estimate(&boot) {
-                alphas.push(est.simplified.alpha);
-                lambda_ps.push(est.simplified.lambda_p());
-                ls.push(est.simplified.l);
-            }
+        for s in estimates.into_iter().flatten() {
+            alphas.push(s.alpha);
+            lambda_ps.push(s.lambda_p());
+            ls.push(s.l);
         }
         if alphas.len() < n_boot / 2 {
             return Err(StatsError::NoConvergence {

@@ -9,6 +9,7 @@
 //! much the objective choice matters (design-choice #3 in DESIGN.md).
 
 use crate::zm::ZipfMandelbrot;
+use palu_stats::boot::{refit_in_order, refit_threads};
 use palu_stats::error::StatsError;
 use palu_stats::logbin::DifferentialCumulative;
 use palu_stats::optimize::{grid_search_2d, nelder_mead, NelderMeadOptions};
@@ -217,6 +218,12 @@ impl ZmFitter {
     /// Fit with `n_boot` multinomial bootstrap replicates and return
     /// `level`-percentile confidence intervals (e.g. `level = 0.95`).
     ///
+    /// The resamples are drawn on the calling thread, in order, so
+    /// `rng` is consumed exactly as a serial resample-and-refit loop
+    /// consumes it; only the refits run in parallel
+    /// ([`palu_stats::boot`]). The output does not depend on the core
+    /// count.
+    ///
     /// # Errors
     ///
     /// * Propagates [`ZmFitter::fit`] errors on the original data.
@@ -244,14 +251,13 @@ impl ZmFitter {
         let observed = DifferentialCumulative::from_histogram(h);
         let point = self.fit(&observed, None)?;
 
-        let mut replicates = Vec::with_capacity(n_boot);
-        for _ in 0..n_boot {
-            let boot = h.resample(rng);
-            let pooled = DifferentialCumulative::from_histogram(&boot);
-            if let Ok(fit) = self.fit(&pooled, None) {
-                replicates.push(fit);
-            }
-        }
+        let fits = refit_in_order(
+            n_boot,
+            refit_threads(n_boot),
+            |_| Ok::<_, StatsError>(DifferentialCumulative::from_histogram(&h.resample(rng))),
+            |pooled| self.fit(&pooled, None).ok(),
+        )?;
+        let mut replicates: Vec<ZmFit> = fits.into_iter().flatten().collect();
         if replicates.len() < n_boot / 2 {
             return Err(StatsError::NoConvergence {
                 routine: "ZmFitter::fit_bootstrap",
