@@ -66,6 +66,15 @@ echo "== bootstrap scaling gate =="
 cargo run -q --release -p palu-bench --bin bootstrap -- --gate
 test -s results/BENCH_bootstrap.json
 
+echo "== synthesis speedup gate =="
+# Uniform synthesis indexes conversations directly instead of
+# binary-searching a cumulative table (DESIGN.md §4n). The bench binary
+# times both at 10⁴–10⁷ conversations in the same run, asserts
+# identical packets, and with --gate requires the direct index to be
+# ≥ 2× the search at every size; it records results/BENCH_synth.json.
+cargo run -q --release -p palu-bench --bin synth -- --gate
+test -s results/BENCH_synth.json
+
 echo "== fault-injection smoke matrix (0%, 5%, 50%) =="
 # The quarantine policy must complete at every injection rate, with a
 # clean report at 0% and a non-empty quarantine set at 50%.

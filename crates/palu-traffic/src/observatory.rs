@@ -158,10 +158,11 @@ impl Observatory {
     ///
     /// # Panics
     ///
-    /// Panics on a synthesizer fault; use [`Observatory::packets_at`]
-    /// plus [`PacketWindow::from_packets`] for the fault-classified
-    /// path. (A constructed observatory always has a non-empty
-    /// synthesizer, so this is unreachable in practice.)
+    /// Panics on a synthesizer fault — an edgeless underlying network
+    /// has no conversations to draw from; use
+    /// [`Observatory::packets_at`] plus [`PacketWindow::from_packets`]
+    /// (or the pipeline's capture engine) for the fault-classified
+    /// path.
     pub fn window_at(&self, t: u64) -> PacketWindow {
         let packets = self
             .packets_at(t)

@@ -43,9 +43,26 @@ pub enum EdgeIntensity {
 pub struct PacketSynthesizer {
     /// Conversation endpoints (one per underlying edge).
     conversations: Vec<(u32, u32)>,
-    /// Cumulative intensity table for weighted sampling.
+    /// Cumulative intensity table for weighted sampling; empty under
+    /// [`EdgeIntensity::Uniform`], whose index is computed directly
+    /// ([`uniform_index`]).
     cumulative: Vec<f64>,
     intensity: EdgeIntensity,
+}
+
+/// The conversation a uniform draw `x = u·E` (`u ∈ [0, 1)`) lands on,
+/// among `e` equally likely conversations.
+///
+/// This is `partition_point(|c| c < x)` on the uniform cumulative table
+/// `[1, 2, …, e]`, clamped to `e − 1`, without the table: entry `k`
+/// holds exactly `k + 1` (every integer up to 2⁵³ is an `f64`), so the
+/// number of entries below `x` is `⌈x⌉ − 1`, or 0 at `x = 0`. One
+/// memory access per packet instead of `log₂ e` (DESIGN.md §4n).
+#[inline]
+pub fn uniform_index(x: f64, e: usize) -> usize {
+    (x.ceil() as usize)
+        .saturating_sub(1)
+        .min(e.saturating_sub(1))
 }
 
 impl PacketSynthesizer {
@@ -54,36 +71,32 @@ impl PacketSynthesizer {
     /// For [`EdgeIntensity::Pareto`], per-edge weights are drawn once
     /// here (they are a property of the underlying network, constant
     /// across windows — the paper's premise that the underlying network
-    /// is fixed while windows vary).
+    /// is fixed while windows vary). [`EdgeIntensity::Uniform`] draws
+    /// nothing and keeps no table.
+    ///
+    /// An edgeless `g` gives an empty synthesizer whose draws fail
+    /// with [`WindowFault::EmptySynthesizer`].
     ///
     /// # Panics
     ///
-    /// Panics if `g` has no edges (no traffic to synthesize) or the
-    /// Pareto shape is not positive.
+    /// Panics if the Pareto shape is not positive.
     pub fn new<R: Rng + ?Sized>(g: &Graph, intensity: EdgeIntensity, rng: &mut R) -> Self {
-        assert!(
-            g.n_edges() > 0,
-            "cannot synthesize traffic from an edgeless network"
-        );
         let conversations: Vec<(u32, u32)> = g.edges().to_vec();
-        let weights: Vec<f64> = match intensity {
-            EdgeIntensity::Uniform => vec![1.0; conversations.len()],
+        let cumulative = match intensity {
+            EdgeIntensity::Uniform => Vec::new(),
             EdgeIntensity::Pareto { shape } => {
                 assert!(shape > 0.0, "Pareto shape must be positive");
-                (0..conversations.len())
-                    .map(|_| {
-                        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                        u.powf(-1.0 / shape) // Pareto(scale=1, shape)
-                    })
-                    .collect()
+                let mut cumulative =
+                    Vec::with_capacity(palu_sparse::admitted_capacity(conversations.len()));
+                let mut acc = 0.0;
+                for _ in 0..conversations.len() {
+                    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                    acc += u.powf(-1.0 / shape); // Pareto(scale=1, shape)
+                    cumulative.push(acc);
+                }
+                cumulative
             }
         };
-        let mut cumulative = Vec::with_capacity(palu_sparse::admitted_capacity(weights.len()));
-        let mut acc = 0.0;
-        for w in weights {
-            acc += w;
-            cumulative.push(acc);
-        }
         PacketSynthesizer {
             conversations,
             cumulative,
@@ -105,25 +118,20 @@ impl PacketSynthesizer {
     /// uniformly (internet links carry traffic both ways; the paper's
     /// model is undirected so direction is symmetric noise).
     ///
+    /// Each packet consumes one `f64` (the conversation) then one
+    /// `bool` (the direction).
+    ///
     /// # Errors
     ///
     /// [`WindowFault::EmptySynthesizer`] when there are no
     /// conversations to draw from — a typed fault the pipeline's
     /// quarantine machinery can classify, rather than a panic.
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Packet, WindowFault> {
-        let Some(&total) = self.cumulative.last() else {
-            return Err(WindowFault::EmptySynthesizer);
-        };
-        let x = rng.gen::<f64>() * total;
-        let idx = self
-            .cumulative
-            .partition_point(|&c| c < x)
-            .min(self.conversations.len() - 1);
-        let (u, v) = self.conversations[idx];
-        Ok(if rng.gen::<bool>() {
-            Packet { src: u, dst: v }
-        } else {
-            Packet { src: v, dst: u }
+        let total = self.total()?;
+        let e = self.conversations.len();
+        Ok(match self.intensity {
+            EdgeIntensity::Uniform => self.draw_with(rng, total, |x| uniform_index(x, e)),
+            EdgeIntensity::Pareto { .. } => self.draw_with(rng, total, |x| self.weighted_index(x)),
         })
     }
 
@@ -143,15 +151,16 @@ impl PacketSynthesizer {
     }
 
     /// Draw `n` packets into a caller-provided buffer, clearing it
-    /// first. Consumes the RNG in exactly the same order as
-    /// [`PacketSynthesizer::draw_many`], so a worker that reuses one
+    /// first. Consumes the RNG in exactly the same order as `n` calls
+    /// of [`PacketSynthesizer::draw`], so a worker that reuses one
     /// buffer across windows produces bit-identical packets to one
-    /// that allocates fresh vectors. On a fault the buffer holds the
-    /// packets drawn so far; callers must not read it after an `Err`.
+    /// that allocates fresh vectors. The intensity is resolved once
+    /// per call, not per packet. On a fault the buffer is empty.
     ///
     /// # Errors
     ///
     /// Propagates [`PacketSynthesizer::draw`]'s fault.
+    // lint:hot
     pub fn draw_many_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -159,11 +168,65 @@ impl PacketSynthesizer {
         out: &mut Vec<Packet>,
     ) -> Result<(), WindowFault> {
         out.clear();
+        if n == 0 {
+            return Ok(());
+        }
+        let total = self.total()?;
+        let e = self.conversations.len();
         out.reserve(palu_sparse::admitted_capacity(n));
-        for _ in 0..n {
-            out.push(self.draw(rng)?);
+        match self.intensity {
+            EdgeIntensity::Uniform => {
+                for _ in 0..n {
+                    out.push(self.draw_with(rng, total, |x| uniform_index(x, e)));
+                }
+            }
+            EdgeIntensity::Pareto { .. } => {
+                for _ in 0..n {
+                    out.push(self.draw_with(rng, total, |x| self.weighted_index(x)));
+                }
+            }
         }
         Ok(())
+    }
+
+    /// What a draw's `u ∈ [0, 1)` is scaled by: `E` under
+    /// [`EdgeIntensity::Uniform`] (exactly the last entry of the
+    /// `[1, …, E]` table it stands for), the summed weight under
+    /// [`EdgeIntensity::Pareto`].
+    fn total(&self) -> Result<f64, WindowFault> {
+        let total = match self.intensity {
+            EdgeIntensity::Uniform => {
+                (!self.conversations.is_empty()).then_some(self.conversations.len() as f64)
+            }
+            EdgeIntensity::Pareto { .. } => self.cumulative.last().copied(),
+        };
+        total.ok_or(WindowFault::EmptySynthesizer)
+    }
+
+    /// One packet: the conversation `index(u·total)`, then its
+    /// direction.
+    #[inline]
+    fn draw_with<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        total: f64,
+        index: impl Fn(f64) -> usize,
+    ) -> Packet {
+        let (u, v) = self.conversations[index(rng.gen::<f64>() * total)];
+        if rng.gen::<bool>() {
+            Packet { src: u, dst: v }
+        } else {
+            Packet { src: v, dst: u }
+        }
+    }
+
+    /// The weighted conversation for `x ∈ [0, total]`: the first
+    /// cumulative entry not below `x`.
+    #[inline]
+    fn weighted_index(&self, x: f64) -> usize {
+        self.cumulative
+            .partition_point(|&c| c < x)
+            .min(self.conversations.len() - 1)
     }
 
     /// The effective edge-retention probability `p` a window of `n_v`
@@ -205,10 +268,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "edgeless")]
-    fn edgeless_network_panics() {
+    fn edgeless_network_draws_a_typed_fault() {
         let mut rng = Xoshiro256pp::seed_from_u64(0);
-        PacketSynthesizer::new(&Graph::with_nodes(5), EdgeIntensity::Uniform, &mut rng);
+        for intensity in [EdgeIntensity::Uniform, EdgeIntensity::Pareto { shape: 1.2 }] {
+            let syn = PacketSynthesizer::new(&Graph::with_nodes(5), intensity, &mut rng);
+            assert_eq!(syn.n_conversations(), 0);
+            assert_eq!(syn.draw(&mut rng), Err(WindowFault::EmptySynthesizer));
+            let mut out = vec![Packet { src: 1, dst: 2 }; 3];
+            assert_eq!(
+                syn.draw_many_into(&mut rng, 10, &mut out),
+                Err(WindowFault::EmptySynthesizer)
+            );
+            assert!(out.is_empty(), "{intensity:?}: no stale packets");
+            // Zero packets are drawable from nothing.
+            assert_eq!(syn.draw_many(&mut rng, 0), Ok(Vec::new()));
+        }
     }
 
     #[test]

@@ -19,13 +19,17 @@
 //! 7. **Duplicate-storm path** — `dup` faults surface as degenerate
 //!    histograms, are recounted exactly, and are retried back to
 //!    health or quarantined, never silently pooled.
+//! 8. **Edgeless network** — a capture with no conversations to draw
+//!    from ends in typed `EmptySynthesizer` faults: aborted under the
+//!    strict policy, quarantined otherwise, refused above the
+//!    quarantine threshold; never a panic.
 
 use palu_suite::prelude::*;
 use palu_traffic::observatory::ObservatoryConfig;
 use palu_traffic::packets::EdgeIntensity;
 use palu_traffic::pipeline::Measurement;
 use palu_traffic::{
-    FailurePolicy, FaultKind, InjectionSpec, Injector, PipelineError, WindowOutcome,
+    FailurePolicy, FaultKind, InjectionSpec, Injector, PipelineError, WindowFault, WindowOutcome,
 };
 
 fn observatory(seed: u64, n_v: u64) -> Observatory {
@@ -391,4 +395,73 @@ fn duplicate_storm_faults_are_recounted_and_recovered_end_to_end() {
         .filter(|r| r.outcome == WindowOutcome::Recovered)
         .count() as u64;
     assert_eq!(got_recovered, recovered);
+}
+
+#[test]
+fn edgeless_network_capture_is_quarantined_or_refused_not_panicked() {
+    // A two-node core whose stubs all pair into self-loops (dropped),
+    // with no leaves and no stars, leaves no conversation at all.
+    let gen = PaluGenerator::new(2, 0, 0, 1.5, 0.0).unwrap();
+    let edgeless = |seed: u64| {
+        Observatory::new(
+            ObservatoryConfig {
+                name: "edgeless".to_string(),
+                date: String::new(),
+                n_v: 100,
+            },
+            &gen,
+            EdgeIntensity::Uniform,
+            seed,
+        )
+    };
+    let seed = (0..1_000)
+        .find(|&s| edgeless(s).synthesizer().n_conversations() == 0)
+        .expect("some seed wires the two-node core into self-loops only");
+    const WINDOWS: usize = 8;
+    let capture = |policy: &FailurePolicy| {
+        Pipeline::pool_observatory_durable(
+            Measurement::UndirectedDegree,
+            &mut edgeless(seed),
+            WINDOWS,
+            2,
+            None,
+            policy,
+            None,
+            None,
+            None,
+        )
+    };
+
+    // Strict: the first window's typed fault aborts the run.
+    match capture(&FailurePolicy::strict()) {
+        Err(PipelineError::WindowAborted { fault, .. }) => {
+            assert_eq!(fault, WindowFault::EmptySynthesizer);
+        }
+        other => panic!("strict capture: {other:?}"),
+    }
+    // Quarantine and substitution: every window is classified and
+    // dropped; a tolerated fraction below 1 refuses the run.
+    for policy in [FailurePolicy::quarantine(2), FailurePolicy::substitute(1)] {
+        let ft = capture(&policy).unwrap();
+        assert_eq!(ft.report.survivors, 0, "{policy:?}");
+        assert_eq!(ft.report.quarantined, WINDOWS as u64, "{policy:?}");
+        assert_eq!(ft.pooled.windows, 0, "{policy:?}");
+        assert!(ft
+            .report
+            .records
+            .iter()
+            .all(|r| r.kind == FaultKind::EmptySynthesizer));
+        let tight = FailurePolicy {
+            quarantine_threshold: 0.5,
+            ..policy
+        };
+        assert!(
+            matches!(
+                capture(&tight),
+                Err(PipelineError::QuarantineOverflow { quarantined, .. })
+                    if quarantined == WINDOWS as u64
+            ),
+            "{tight:?}"
+        );
+    }
 }
