@@ -75,6 +75,16 @@ echo "== synthesis speedup gate =="
 cargo run -q --release -p palu-bench --bin synth -- --gate
 test -s results/BENCH_synth.json
 
+echo "== undirected-degree kernel speedup gate =="
+# The engine measures undirected degree from packets straight to
+# sorted partner keys, with no COO/CSR build (DESIGN.md §4o). The
+# bench binary times that kernel against the COO→CSR path at
+# N_V ∈ {2·10⁴, 10⁵, 10⁶} in the same run, asserts equal histograms on
+# every window, and with --gate requires the kernel to be ≥ 1.5× the
+# matrix path at every size; it records results/BENCH_degree.json.
+cargo run -q --release -p palu-bench --bin degree -- --gate
+test -s results/BENCH_degree.json
+
 echo "== fault-injection smoke matrix (0%, 5%, 50%) =="
 # The quarantine policy must complete at every injection rate, with a
 # clean report at 0% and a non-empty quarantine set at 50%.

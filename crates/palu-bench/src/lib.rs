@@ -2,7 +2,8 @@
 //!
 //! Each paper table/figure has a binary in `src/bin/` that prints the
 //! regenerated rows/series and records a JSON snapshot under
-//! `results/`. This library holds what they share: the six synthetic
+//! `results/`, or under `DIR` when run with the shared `--out DIR`
+//! argument. This library holds what they share: the six synthetic
 //! observatory scenarios standing in for the paper's
 //! locations/dates/window sizes (Figure 3), plus small formatting and
 //! result-recording helpers.
@@ -12,7 +13,7 @@ use palu_cli::json::JsonValue;
 use palu_traffic::observatory::{Observatory, ObservatoryConfig};
 use palu_traffic::packets::EdgeIntensity;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One synthetic vantage point standing in for a Figure 3 panel.
 #[derive(Debug, Clone)]
@@ -141,14 +142,19 @@ pub fn rule(width: usize) -> String {
     "-".repeat(width)
 }
 
-/// Record an experiment's machine-readable snapshot under
-/// `results/<id>.json` (repo root), creating the directory on demand.
+/// Record an experiment's machine-readable snapshot as
+/// `<id>.json` in [`out_dir`] (`results/` at the repo root unless
+/// `--out DIR` is given), creating the directory on demand.
 /// Failures to write are reported but non-fatal — the printed output
 /// is the primary artifact. The JSON is produced by the workspace's
 /// own writer ([`palu_cli::json`]); no serde in the dependency graph.
 pub fn record_json(experiment_id: &str, value: &JsonValue) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    record_json_in(&out_dir(), experiment_id, value);
+}
+
+/// [`record_json`] into an explicit directory.
+pub fn record_json_in(dir: &Path, experiment_id: &str, value: &JsonValue) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("note: could not create {}: {e}", dir.display());
         return;
     }
@@ -160,6 +166,39 @@ pub fn record_json(experiment_id: &str, value: &JsonValue) {
     } else {
         eprintln!("[recorded {}]", path.display());
     }
+}
+
+/// The directory the bench bins record into: the value of the shared
+/// `--out DIR` argument on this process's command line, else
+/// [`results_dir`]. `--out` without a directory exits with status 2.
+pub fn out_dir() -> PathBuf {
+    out_dir_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("usage error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// [`out_dir`] over an explicit argument list (program name
+/// excluded); other arguments are skipped.
+///
+/// # Errors
+///
+/// `--out` without a directory after it, or with an empty one.
+pub fn out_dir_from<I>(args: I) -> Result<PathBuf, String>
+where
+    I: IntoIterator,
+    I::Item: Into<String>,
+{
+    let mut args = args.into_iter().map(Into::into);
+    while let Some(arg) = args.next() {
+        if arg == "--out" {
+            return match args.next() {
+                Some(dir) if !dir.is_empty() => Ok(PathBuf::from(dir)),
+                _ => Err("--out needs a directory".to_string()),
+            };
+        }
+    }
+    Ok(results_dir())
 }
 
 /// Render one or more pooled `D(d_i)` series as an ASCII log-log
@@ -241,8 +280,11 @@ pub fn ascii_loglog(series: &[(&str, &palu_stats::logbin::DifferentialCumulative
     out
 }
 
-/// The `results/` directory at the workspace root (falls back to the
-/// current directory when the workspace root cannot be located).
+/// The `results/` directory at the workspace root, resolved from the
+/// crate's compile-time location (falls back to `results` under the
+/// current directory when the workspace root cannot be located). A
+/// build copied elsewhere still points here; pass `--out DIR` (see
+/// [`out_dir`]) to record somewhere else.
 pub fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/palu-bench → ../../results.
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -307,6 +349,30 @@ mod tests {
         assert!(ascii_loglog(&[]).contains("empty"));
         let z = DifferentialCumulative::from_values(vec![0.0, 0.0]);
         assert!(ascii_loglog(&[("z", &z)]).contains("all-zero"));
+    }
+
+    #[test]
+    fn out_flag_redirects_record_json() {
+        let dir = std::env::temp_dir().join(format!("palu-bench-out-{}", std::process::id()));
+        let id = "BENCH_out_flag_test";
+        let args = [
+            "--gate".to_string(),
+            "--out".to_string(),
+            dir.display().to_string(),
+        ];
+        let parsed = out_dir_from(args).unwrap();
+        assert_eq!(parsed, dir);
+        let value = JsonValue::obj([("redirected", true.into())]);
+        record_json_in(&parsed, id, &value);
+        let path = dir.join(format!("{id}.json"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), value.pretty());
+        assert!(!results_dir().join(format!("{id}.json")).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        assert_eq!(out_dir_from(["--gate"]).unwrap(), results_dir());
+        assert_eq!(out_dir_from(Vec::<String>::new()).unwrap(), results_dir());
+        assert!(out_dir_from(["--out"]).is_err());
+        assert!(out_dir_from(["--out", ""]).is_err());
     }
 
     #[test]

@@ -79,6 +79,9 @@ impl CsrScratch {
 pub struct DegreeScratch {
     /// Normalized undirected edges, packed `(min << 32) | max`.
     edges: Vec<u64>,
+    /// One past the largest node id in `edges` (0 when empty): the
+    /// accumulator size the degree count needs.
+    id_bound: usize,
     /// Per-window degree list; sorted before histogram construction.
     degrees: Vec<u64>,
     /// Dense per-node accumulator (partner counts or packet volumes).
@@ -150,21 +153,47 @@ impl DegreeScratch {
         DegreeHistogram::from_sorted_degrees(&self.degrees)
     }
 
-    /// Undirected-degree histogram of a window matrix: distinct
-    /// partners per visible host. Equal to
-    /// `PacketWindow::undirected_degree_histogram` output — a
-    /// self-loop contributes exactly one partner (the host itself),
-    /// matching the partner-set semantics.
-    pub fn undirected_degree_histogram(&mut self, a: &CsrMatrix) -> DegreeHistogram {
+    /// First half of the undirected-degree kernel: pack each
+    /// `(src, dst)` pair as the undirected key `(min << 32) | max`,
+    /// then sort and deduplicate the keys, leaving one key per
+    /// distinct partner pair. Returns the number of distinct pairs.
+    /// [`DegreeScratch::loaded_undirected_degree_histogram`] turns
+    /// them into the histogram.
+    ///
+    /// Resets any accumulator residue on entry, so a scratch that a
+    /// panicked computation left half-way gives the clean answer.
+    pub fn load_undirected_edges<I>(&mut self, pairs: I) -> usize
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+    {
         self.reset();
         self.edges.clear();
-        for (src, dst, _) in a.iter() {
+        self.id_bound = 0;
+        let mut max_id: NodeId = 0;
+        self.edges.extend(pairs.into_iter().map(|(src, dst)| {
             let (lo, hi) = if src <= dst { (src, dst) } else { (dst, src) };
-            self.edges.push(((lo as u64) << 32) | hi as u64);
+            max_id = max_id.max(hi);
+            ((lo as u64) << 32) | hi as u64
+        }));
+        if !self.edges.is_empty() {
+            self.id_bound = max_id as usize + 1;
         }
         self.edges.sort_unstable();
         self.edges.dedup();
-        self.ensure_counts(a.n_rows().max(a.n_cols()) as usize);
+        self.edges.len()
+    }
+
+    /// Second half of the undirected-degree kernel: count each node's
+    /// distinct partners over the keys of the last
+    /// [`DegreeScratch::load_undirected_edges`] call, sort the
+    /// degrees and build the histogram. A self-loop contributes
+    /// exactly one partner (the host itself), matching the
+    /// partner-set semantics. Calling it twice gives the same
+    /// histogram twice.
+    // lint:hot
+    pub fn loaded_undirected_degree_histogram(&mut self) -> DegreeHistogram {
+        self.reset();
+        self.ensure_counts(self.id_bound);
         self.degrees.clear();
         for &e in &self.edges {
             let lo = (e >> 32) as NodeId;
@@ -176,6 +205,26 @@ impl DegreeScratch {
         }
         self.drain_touched();
         self.finish()
+    }
+
+    /// The undirected-degree kernel on `(src, dst)` pairs: distinct
+    /// partners per visible host. Packet order and repeated pairs do
+    /// not change the result.
+    pub fn undirected_degree_histogram_of_pairs<I>(&mut self, pairs: I) -> DegreeHistogram
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+    {
+        self.load_undirected_edges(pairs);
+        self.loaded_undirected_degree_histogram()
+    }
+
+    /// Undirected-degree histogram of a window matrix: the kernel fed
+    /// from the matrix's nonzeros. Equal to
+    /// [`DegreeScratch::undirected_degree_histogram_of_pairs`] on the
+    /// packets the matrix aggregates, since a matrix entry stands for
+    /// one or more packets between the same pair.
+    pub fn undirected_degree_histogram(&mut self, a: &CsrMatrix) -> DegreeHistogram {
+        self.undirected_degree_histogram_of_pairs(a.iter().map(|(src, dst, _)| (src, dst)))
     }
 
     /// Node-volume histogram: total packets each visible host sent or
@@ -278,6 +327,29 @@ mod tests {
         assert_eq!(s.undirected_degree_histogram(&b), reference_undirected(&b));
         // And re-running the first matrix is unaffected by residue.
         assert_eq!(s.undirected_degree_histogram(&a), reference_undirected(&a));
+    }
+
+    #[test]
+    fn stale_touched_counts_do_not_leak() {
+        let a = window();
+        let mut s = DegreeScratch::new();
+        let clean = s.undirected_degree_histogram(&a);
+        // The state a panic part-way through a count leaves behind:
+        // nonzero counts on touched ids, some of them ids the next
+        // window also touches.
+        s.ensure_counts(64);
+        for id in [0u32, 1, 5, 40] {
+            bump(&mut s.counts, &mut s.touched, id, 7);
+        }
+        assert_eq!(s.undirected_degree_histogram(&a), clean);
+        for id in [1u32, 2, 63] {
+            bump(&mut s.counts, &mut s.touched, id, 3);
+        }
+        s.load_undirected_edges(a.iter().map(|(x, y, _)| (x, y)));
+        for id in [0u32, 5] {
+            bump(&mut s.counts, &mut s.touched, id, 2);
+        }
+        assert_eq!(s.loaded_undirected_degree_histogram(), clean);
     }
 
     #[test]

@@ -23,9 +23,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum Stage {
     /// Drawing a window's `N_V` packets from the synthesizer.
     Synthesize,
-    /// Aggregating the packets into the sparse window matrix `A_t`.
+    /// Aggregating the packets into the sparse window matrix `A_t`
+    /// or, for the undirected degree, into sorted distinct partner
+    /// keys.
     Window,
-    /// Reducing the matrix to the measurement's degree histogram.
+    /// Reducing the matrix (or the partner keys) to the measurement's
+    /// degree histogram.
     Histogram,
     /// Pooling the histogram into logarithmic bins `D_t(d_i)`.
     Bin,

@@ -18,6 +18,14 @@
 //! `BinStats::merge` (whose single-window path replays the exact
 //! float-op sequence of a serial push), so the pooled result is
 //! **bit-identical** to the serial fold for any thread count.
+//!
+//! For [`Measurement::UndirectedDegree`] the workers build no window
+//! matrix: the window stage packs the packets into sorted, distinct
+//! partner keys and the histogram stage counts partners from them
+//! (`palu_sparse::DegreeScratch`'s fused kernel). The histogram is
+//! equal to the one the matrix path gives, so the pooled bytes are
+//! the same. The other measurements still aggregate each window into
+//! its CSR matrix `A_t`.
 
 use crate::budget::{
     coarsen_degree, coarsen_histogram, CostModel, DegradationEvent, DegradationRung, Governor,
@@ -87,6 +95,8 @@ impl Measurement {
 /// attempt) it processes, so the steady state allocates nothing: the
 /// packet buffer, the COO staging triplets, the CSR conversion and
 /// output arrays, and the histogram accumulators are all recycled.
+/// An undirected-degree capture never touches `coo` or `csr`: its
+/// partner keys live in `degree`.
 ///
 /// Crossing a `catch_unwind` boundary with the arena is sound: a
 /// panicked attempt can only leave stale buffer contents behind (never
@@ -100,7 +110,8 @@ struct WorkerArena {
     coo: palu_sparse::CooMatrix,
     /// CSR conversion buffers plus recycled output arrays.
     csr: palu_sparse::CsrScratch,
-    /// Degree-histogram extraction buffers.
+    /// Degree-histogram extraction buffers, including the partner
+    /// keys of the fused undirected-degree kernel.
     degree: palu_sparse::DegreeScratch,
 }
 
@@ -1200,24 +1211,44 @@ fn run_window_attempt(
         // lint:allow(R8)
         panic!("injected fault: worker panic in window {t} (attempt {attempt})");
     }
-    let w = time_stage(metrics, Stage::Window, || {
-        PacketWindow::from_packets_with(t, &arena.packets, &mut arena.coo, &mut arena.csr)
-    })?;
-    let h = time_stage(metrics, Stage::Histogram, || {
-        measurement.histogram_with(&w, &mut arena.degree)
-    });
-    if w.n_v() > 0 && h.is_empty() {
+    let h = match measurement {
+        // The fused kernel: packets → sorted distinct partner keys
+        // (`Window`) → histogram (`Histogram`), with no COO/CSR in
+        // between (DESIGN.md §4o).
+        Measurement::UndirectedDegree => {
+            let (packets, degree) = (&arena.packets, &mut arena.degree);
+            time_stage(metrics, Stage::Window, || {
+                degree.load_undirected_edges(packets.iter().map(|p| (p.src, p.dst)))
+            });
+            time_stage(metrics, Stage::Histogram, || {
+                degree.loaded_undirected_degree_histogram()
+            })
+        }
+        Measurement::Quantity(_) | Measurement::NodeVolume => {
+            let w = time_stage(metrics, Stage::Window, || {
+                PacketWindow::from_packets_with(t, &arena.packets, &mut arena.coo, &mut arena.csr)
+            })?;
+            let h = time_stage(metrics, Stage::Histogram, || {
+                measurement.histogram_with(&w, &mut arena.degree)
+            });
+            // The window is spent: every later stage reads only `h`.
+            // Hand its backing arrays back so the next window builds
+            // into them.
+            w.recycle(&mut arena.csr);
+            h
+        }
+    };
+    // `n_v` is the packet count here: the truncation check above
+    // returned on any other.
+    if n_v > 0 && h.is_empty() {
         return Err(WindowFault::EmptyHistogram);
     }
     // Support-collapse heuristic: a real window of ≥ 16 packets never
     // concentrates on ≤ 2 histogram entries; a duplicate-edge storm
     // does.
-    if w.n_v() >= 16 && h.total() <= 2 {
+    if n_v >= 16 && h.total() <= 2 {
         return Err(WindowFault::Degenerate { support: h.total() });
     }
-    // The window is spent: every later stage reads only `h`. Hand its
-    // backing arrays back so the next window builds into them.
-    w.recycle(&mut arena.csr);
     let one = time_stage(metrics, Stage::Bin, || -> Result<BinStats, WindowFault> {
         let mut dc = DifferentialCumulative::from_histogram(&h);
         if plan == Some(InjectedFault::NanBin) && dc.n_bins() > 0 {

@@ -181,7 +181,9 @@ impl PacketWindow {
     }
 
     /// [`PacketWindow::undirected_degree_histogram`] on a reusable
-    /// scratch — the worker hot path; identical output.
+    /// scratch; identical output. The capture engine's workers skip
+    /// the matrix and run the same kernel on the packets
+    /// ([`palu_sparse::DegreeScratch::load_undirected_edges`]).
     pub fn undirected_degree_histogram_with(
         &self,
         scratch: &mut DegreeScratch,
