@@ -115,6 +115,18 @@ for rate in 0 0.05 0.5; do
     fi
 done
 
+echo "== fig3 drift gate (committed results/fig3.json) =="
+# fig3.json holds only what the seeds determine (its timings go to
+# BENCH_fig3.json), so a fresh run must reproduce the committed file
+# byte for byte. It sizes its capture with default_threads() and runs
+# pool_observatory_parallel, so a change that moves an output byte of
+# the capture engine fails here.
+fig3_dir="$smoke_dir/fig3"
+mkdir -p "$fig3_dir"
+cargo run -q --release -p palu-bench --bin fig3 -- --out "$fig3_dir" >/dev/null
+cmp "$fig3_dir/fig3.json" results/fig3.json
+echo "fig3: fig3.json byte-identical to the committed result"
+
 echo "== bootstrap core-count smoke (taskset -c 0 vs all cores) =="
 # Bootstrap output must not depend on the core count: the same
 # fit --boot and gof --boot runs pinned to one core (no refit workers)

@@ -44,7 +44,10 @@ fn main() {
     for (i, s) in palu_bench::fig3_scenarios().iter().enumerate() {
         let mut obs = s.observatory(77_000 + i as u64);
         let windows = obs.windows(s.windows.min(8));
-        let pooled = Pipeline::pool_many(&measurements, &windows);
+        let pooled: Vec<_> = measurements
+            .iter()
+            .map(|&m| Pipeline::pool(m, &windows))
+            .collect();
         let fits: Vec<_> = pooled
             .iter()
             .map(|p| {

@@ -15,9 +15,8 @@ use palu::zm_fit::{FitObjective, ZmFitter};
 use palu_bench::{fmt_p, record_json, rule, Scenario};
 use palu_cli::commands::metrics_json;
 use palu_cli::json::JsonValue;
-use palu_sparse::parallel::default_threads;
 use palu_traffic::metrics::Metrics;
-use palu_traffic::pipeline::{Measurement, Pipeline};
+use palu_traffic::pipeline::{default_threads, Measurement, Pipeline};
 use palu_traffic::MetricsSnapshot;
 use std::time::Instant;
 
@@ -52,7 +51,8 @@ fn run_panel(scenario: &Scenario, seed: u64) -> Panel {
         scenario.windows,
         default_threads(),
         Some(&pipeline_metrics),
-    );
+    )
+    .expect("capture succeeds");
     let wall_s = t0.elapsed().as_secs_f64();
 
     let fit = ZmFitter::with_objective(FitObjective::LeastSquares)

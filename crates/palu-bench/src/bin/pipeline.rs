@@ -62,7 +62,8 @@ fn run(threads: usize) -> (PooledDistribution, f64, MetricsSnapshot) {
         WINDOWS,
         threads,
         Some(&metrics),
-    );
+    )
+    .expect("capture succeeds");
     (pooled, t0.elapsed().as_secs_f64(), metrics.snapshot())
 }
 

@@ -3,19 +3,19 @@
 //! The paper's methodology runs "over a wide range of windows from
 //! N_V = 100,000 to N_V = 100,000,000". This experiment demonstrates
 //! the substrate holds up at the 10⁷-packet scale on one machine:
-//! serial vs thread-sharded window assembly (design-choice #4),
-//! Table-I aggregation, and the five Figure-1 quantities, with
-//! throughput in packets/second and bit-identical results across
-//! strategies.
+//! window assembly, Table-I aggregation, and the five Figure-1
+//! quantities, with throughput in packets/second, then the capture
+//! engine's serial vs multi-threaded run over 64 windows, which must
+//! agree bit for bit.
 
 use palu_bench::record_json;
 use palu_cli::commands::metrics_json;
 use palu_cli::json::JsonValue;
 use palu_sparse::aggregates::Aggregates;
-use palu_sparse::parallel::{build_csr_parallel, default_threads, quantities_parallel};
 use palu_sparse::quantities::QuantityHistograms;
+use palu_sparse::CooMatrix;
 use palu_traffic::metrics::Metrics;
-use palu_traffic::pipeline::{Measurement, Pipeline, PooledDistribution};
+use palu_traffic::pipeline::{default_threads, Measurement, Pipeline, PooledDistribution};
 use palu_traffic::MetricsSnapshot;
 use std::time::Instant;
 
@@ -40,7 +40,8 @@ fn run_pipeline(windows: usize, threads: usize) -> (PooledDistribution, f64, Met
         windows,
         threads,
         Some(&metrics),
-    );
+    )
+    .expect("capture succeeds");
     (pooled, t0.elapsed().as_secs_f64(), metrics.snapshot())
 }
 
@@ -66,33 +67,15 @@ fn main() {
     println!("  synthesized in {:.2}s", t0.elapsed().as_secs_f64());
 
     let t0 = Instant::now();
-    let serial = build_csr_parallel(&packets, 1);
+    let a = CooMatrix::from_packet_pairs(packets.iter().copied()).to_csr();
     let serial_build_s = t0.elapsed().as_secs_f64();
     println!(
         "  serial build:    {serial_build_s:.2}s ({:.1} Mpkt/s)",
         n as f64 / serial_build_s / 1e6
     );
 
-    let threads = default_threads();
     let t0 = Instant::now();
-    let parallel = build_csr_parallel(&packets, threads);
-    let parallel_build_s = t0.elapsed().as_secs_f64();
-    if threads > 1 {
-        println!(
-            "  parallel build:  {parallel_build_s:.2}s on {threads} threads ({:.1} Mpkt/s, {:.2}x)",
-            n as f64 / parallel_build_s / 1e6,
-            serial_build_s / parallel_build_s
-        );
-    } else {
-        println!(
-            "  parallel build:  {parallel_build_s:.2}s — single-core host, sharded path \
-             degenerates to serial (timing delta is cache warmth, not speedup)"
-        );
-    }
-    assert_eq!(serial, parallel, "strategies must agree bit-for-bit");
-
-    let t0 = Instant::now();
-    let agg = Aggregates::compute(&parallel);
+    let agg = Aggregates::compute(&a);
     let aggregate_s = t0.elapsed().as_secs_f64();
     println!(
         "  Table-I aggregates in {aggregate_s:.3}s: N_V = {}, links = {}, sources = {}, dests = {}",
@@ -101,15 +84,9 @@ fn main() {
     assert_eq!(agg.valid_packets, n as u64);
 
     let t0 = Instant::now();
-    let qs = QuantityHistograms::compute(&parallel);
-    let quantities_serial_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let qp = quantities_parallel(&parallel);
-    let quantities_parallel_s = t0.elapsed().as_secs_f64();
-    assert_eq!(qs.link_packets, qp.link_packets);
-    println!(
-        "  five quantities: serial {quantities_serial_s:.3}s, parallel {quantities_parallel_s:.3}s"
-    );
+    let qs = QuantityHistograms::compute(&a);
+    let quantities_s = t0.elapsed().as_secs_f64();
+    println!("  five quantities in {quantities_s:.3}s");
     println!(
         "  source-packet d_max = {} (supernode), link-packet d_max = {}",
         qs.source_packets.d_max().unwrap_or(0),
@@ -146,12 +123,8 @@ fn main() {
         &JsonValue::obj([
             ("n_packets", n.into()),
             ("serial_build_s", serial_build_s.into()),
-            ("parallel_build_s", parallel_build_s.into()),
-            ("parallel_threads", threads.into()),
-            ("speedup", (serial_build_s / parallel_build_s).into()),
             ("aggregate_s", aggregate_s.into()),
-            ("quantities_serial_s", quantities_serial_s.into()),
-            ("quantities_parallel_s", quantities_parallel_s.into()),
+            ("quantities_s", quantities_s.into()),
             ("unique_links", agg.unique_links.into()),
             ("pipeline_windows", pipeline_windows.into()),
             ("pipeline_serial_s", pipeline_serial_s.into()),

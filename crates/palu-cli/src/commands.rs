@@ -432,7 +432,8 @@ COMMANDS:
              --server ADDR --work-dir DIR [--worker ID=0]
              [--poll-ms MS=50] [+ retry and wire-fault options, see
              submit] + the simulate options naming the capture's
-             identity
+             identity; --memory-budget / --admission bound each lease
+             exactly as they bound `shard`
              [--chaos-kill pre-lease|mid-capture|pre-submit]  die at
                that phase exactly as a SIGKILL would (mid-capture
                leaves a half-journaled range; pre-submit a complete
@@ -797,7 +798,7 @@ impl SimCapture {
     /// windows), so banners and metrics snapshots agree.
     fn threads(&self, args: &ParsedArgs, local_windows: usize) -> Result<usize, CliError> {
         Ok(match usize_opt(args.u64_or("threads", 0)?, "threads")? {
-            0 => palu_sparse::parallel::default_threads(),
+            0 => palu_traffic::pipeline::default_threads(),
             t => t,
         }
         .clamp(1, local_windows.max(1)))
@@ -859,6 +860,99 @@ impl SimCapture {
             self.seed,
         ))
     }
+
+    /// Run the capture engine over the next `n` windows of `obs` under
+    /// this capture's failure policy, fault injector and memory-budget
+    /// governor: the one place `simulate`, `shard` and `work` take
+    /// them from.
+    fn capture(
+        &self,
+        obs: &mut palu_traffic::Observatory,
+        n: usize,
+        threads: usize,
+        metrics: Option<&palu_traffic::Metrics>,
+        journal: Option<&palu_traffic::Journal>,
+        recovery: Option<&palu_traffic::Recovery>,
+    ) -> Result<palu_traffic::FaultTolerantPool, palu_traffic::PipelineError> {
+        use palu_traffic::budget::Governor;
+        use palu_traffic::pipeline::{Measurement, Pipeline};
+        let governor = self.budget.as_ref().map(|budget| Governor {
+            budget,
+            strict_admission: self.strict_admission,
+        });
+        Pipeline::pool_observatory_governed(
+            Measurement::UndirectedDegree,
+            obs,
+            n,
+            threads,
+            metrics,
+            &self.policy,
+            self.injector.as_ref(),
+            journal,
+            recovery,
+            governor.as_ref(),
+        )
+    }
+}
+
+/// Parse `--min-coverage` (default 1.0), the coverage fraction below
+/// which `pool --merge`, `serve` and `dispatch` refuse a pool.
+fn min_coverage(args: &ParsedArgs) -> Result<f64, CliError> {
+    let min_coverage = args.f64_or("min-coverage", 1.0)?;
+    if !(0.0..=1.0).contains(&min_coverage) {
+        return Err(CliError::usage(format!(
+            "--min-coverage must be in [0,1], got {min_coverage}"
+        )));
+    }
+    Ok(min_coverage)
+}
+
+/// The `--wire-faults` injector of `submit` and `work` (none planted
+/// when the flag is absent), seeded by the capture seed.
+fn wire_injector(args: &ParsedArgs, seed: u64) -> Result<palu_traffic::WireInjector, CliError> {
+    use palu_traffic::{WireInjector, WireSpec};
+    let spec = match args.options.get("wire-faults").filter(|s| !s.is_empty()) {
+        Some(spec) => {
+            WireSpec::parse(spec).map_err(|e| CliError::usage(format!("--wire-faults: {e}")))?
+        }
+        None => WireSpec::none(),
+    };
+    Ok(WireInjector::new(spec, seed))
+}
+
+/// Write the document `doc` builds to `--metrics`, when that flag is
+/// given. Returns the path written.
+fn write_metrics(
+    args: &ParsedArgs,
+    doc: impl FnOnce() -> crate::json::JsonValue,
+) -> Result<Option<&str>, CliError> {
+    match args.options.get("metrics").filter(|s| !s.is_empty()) {
+        Some(path) => {
+            std::fs::write(path, doc().pretty())
+                .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+            Ok(Some(path))
+        }
+        None => Ok(None),
+    }
+}
+
+/// The `--metrics` document of a capture: the metrics snapshot, then
+/// `sections` in order, then the fault report. The fault report comes
+/// last so consumers slicing the document from "fault_report" onward
+/// (the CI crash-recovery diff) see identical bytes for a resumed and
+/// an uninterrupted capture, and for a merge and a single process.
+fn capture_metrics_json<'a>(
+    snap: &palu_traffic::MetricsSnapshot,
+    sections: impl IntoIterator<Item = (&'a str, crate::json::JsonValue)>,
+    report: &palu_traffic::FaultReport,
+) -> crate::json::JsonValue {
+    use crate::json::JsonValue;
+    let mut doc = metrics_json(snap);
+    if let JsonValue::Object(pairs) = &mut doc {
+        pairs.extend(sections.into_iter().map(|(k, v)| (k.to_string(), v)));
+        pairs.push(("fault_report".to_string(), fault_report_json(report)));
+    }
+    doc
 }
 
 /// Create or resume a capture journal at `path`, with the standard
@@ -919,17 +1013,11 @@ fn write_pooled(
 fn cmd_simulate(args: &ParsedArgs) -> Result<(), CliError> {
     use palu_stats::mle::{fit_csn_with_restarts, CsnOptions};
     use palu_stats::restart::RestartPolicy;
-    use palu_traffic::budget::Governor;
     use palu_traffic::metrics::Metrics;
-    use palu_traffic::pipeline::{Measurement, Pipeline};
 
     let sc = SimCapture::parse(args)?;
     let n_windows = sc.n_windows;
     let threads = sc.threads(args, n_windows)?;
-    let governor = sc.budget.as_ref().map(|b| Governor {
-        budget: b,
-        strict_admission: sc.strict_admission,
-    });
     let mut obs = sc.observatory()?;
     eprintln!(
         "observatory up: {} windows × {} packets on {} threads (effective p ≈ {:.3})",
@@ -967,22 +1055,17 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), CliError> {
             }
         );
     }
-    let mut ft = Pipeline::pool_observatory_governed(
-        Measurement::UndirectedDegree,
-        &mut obs,
-        n_windows,
-        threads,
-        Some(&metrics),
-        &sc.policy,
-        sc.injector.as_ref(),
-        journal_state.as_ref().map(|(j, _)| j),
-        journal_state.as_ref().and_then(|(_, r)| r.as_ref()),
-        governor.as_ref(),
-    )
-    .map_err(|e| pipeline_error(&e))?;
-    let injector = &sc.injector;
-    let budget = &sc.budget;
-    if injector.is_some() {
+    let mut ft = sc
+        .capture(
+            &mut obs,
+            n_windows,
+            threads,
+            Some(&metrics),
+            journal_state.as_ref().map(|(j, _)| j),
+            journal_state.as_ref().and_then(|(_, r)| r.as_ref()),
+        )
+        .map_err(|e| pipeline_error(&e))?;
+    if sc.injector.is_some() {
         // Fit the pooled histogram through the restart ladder so the
         // report shows how far recovery had to climb.
         match fit_csn_with_restarts(
@@ -1020,65 +1103,57 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), CliError> {
             "budget: {} degradation rung engagement(s) under pressure (peak accounted {} bytes); \
              pooled output is unaffected",
             ft.report.degradations.len(),
-            budget.as_ref().map(|b| b.peak()).unwrap_or(0)
+            sc.budget.as_ref().map(|b| b.peak()).unwrap_or(0)
         );
     }
-    let pooled = &ft.pooled;
-    if let Some(path) = args.options.get("metrics").filter(|s| !s.is_empty()) {
+    let snap = metrics.snapshot();
+    let written = write_metrics(args, || {
         use crate::json::JsonValue;
-        let snap = metrics.snapshot();
-        let mut doc = metrics_json(&snap);
-        if let JsonValue::Object(pairs) = &mut doc {
-            // The budget and journal objects precede fault_report so
-            // consumers slicing the document from "fault_report"
-            // onward (the CI crash-recovery diff) see identical bytes
-            // for a resumed and an uninterrupted capture.
-            if let Some(b) = &budget {
-                let mut rungs = [0u64; 3];
-                for d in &ft.report.degradations {
-                    rungs[usize::from(d.rung.code())] += 1;
-                }
-                pairs.push((
-                    "budget".to_string(),
-                    JsonValue::obj([
-                        ("limit", JsonValue::UInt(b.hard().unwrap_or(0))),
-                        ("soft", JsonValue::UInt(b.soft().unwrap_or(0))),
-                        (
-                            "admission_estimate_bytes",
-                            JsonValue::UInt(snap.admission_estimate_bytes),
-                        ),
-                        (
-                            "peak_accounted_bytes",
-                            JsonValue::UInt(snap.peak_accounted_bytes),
-                        ),
-                        ("degradations", JsonValue::UInt(snap.budget_degradations)),
-                        ("coarsen_bins", JsonValue::UInt(rungs[0])),
-                        ("shrink_workers", JsonValue::UInt(rungs[1])),
-                        ("spill_pooled", JsonValue::UInt(rungs[2])),
-                    ]),
-                ));
+        let budget = sc.budget.as_ref().map(|b| {
+            let mut rungs = [0u64; 3];
+            for d in &ft.report.degradations {
+                rungs[usize::from(d.rung.code())] += 1;
             }
-            if let Some((journal, _)) = &journal_state {
-                pairs.push((
-                    "journal".to_string(),
-                    JsonValue::obj([
-                        ("windows_recovered", JsonValue::UInt(snap.windows_recovered)),
-                        (
-                            "bytes_replayed",
-                            JsonValue::UInt(snap.journal_bytes_replayed),
-                        ),
-                        (
-                            "torn_records_dropped",
-                            JsonValue::UInt(snap.journal_torn_dropped),
-                        ),
-                        ("bytes_appended", JsonValue::UInt(journal.appended_bytes())),
-                    ]),
-                ));
-            }
-            pairs.push(("fault_report".to_string(), fault_report_json(&ft.report)));
-        }
-        std::fs::write(path, doc.pretty())
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+            (
+                "budget",
+                JsonValue::obj([
+                    ("limit", JsonValue::UInt(b.hard().unwrap_or(0))),
+                    ("soft", JsonValue::UInt(b.soft().unwrap_or(0))),
+                    (
+                        "admission_estimate_bytes",
+                        JsonValue::UInt(snap.admission_estimate_bytes),
+                    ),
+                    (
+                        "peak_accounted_bytes",
+                        JsonValue::UInt(snap.peak_accounted_bytes),
+                    ),
+                    ("degradations", JsonValue::UInt(snap.budget_degradations)),
+                    ("coarsen_bins", JsonValue::UInt(rungs[0])),
+                    ("shrink_workers", JsonValue::UInt(rungs[1])),
+                    ("spill_pooled", JsonValue::UInt(rungs[2])),
+                ]),
+            )
+        });
+        let journal = journal_state.as_ref().map(|(journal, _)| {
+            (
+                "journal",
+                JsonValue::obj([
+                    ("windows_recovered", JsonValue::UInt(snap.windows_recovered)),
+                    (
+                        "bytes_replayed",
+                        JsonValue::UInt(snap.journal_bytes_replayed),
+                    ),
+                    (
+                        "torn_records_dropped",
+                        JsonValue::UInt(snap.journal_torn_dropped),
+                    ),
+                    ("bytes_appended", JsonValue::UInt(journal.appended_bytes())),
+                ]),
+            )
+        });
+        capture_metrics_json(&snap, budget.into_iter().chain(journal), &ft.report)
+    })?;
+    if let Some(path) = written {
         eprintln!(
             "metrics: {} packets in {:.1} ms of stage time across {} threads → {path}",
             snap.packets,
@@ -1086,7 +1161,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), CliError> {
             snap.threads
         );
     }
-    write_pooled(args, pooled)
+    write_pooled(args, &ft.pooled)
 }
 
 /// `palu-cli shard --shard-index i --shards n …`: run one shard of a
@@ -1094,10 +1169,8 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), CliError> {
 /// range, journaling under the full capture's identity so the shard
 /// journals merge back into a single-process-identical pool.
 fn cmd_shard(args: &ParsedArgs) -> Result<(), CliError> {
-    use palu_traffic::budget::Governor;
-    use palu_traffic::federation::{capture_shard, ShardPlan};
+    use palu_traffic::federation::ShardPlan;
     use palu_traffic::metrics::Metrics;
-    use palu_traffic::pipeline::Measurement;
 
     let sc = SimCapture::parse(args)?;
     let shards = args.u64_or("shards", 1)?;
@@ -1108,10 +1181,6 @@ fn cmd_shard(args: &ParsedArgs) -> Result<(), CliError> {
     })?;
     let local = usize_opt(range.window_count(), "shards")?;
     let threads = sc.threads(args, local)?;
-    let governor = sc.budget.as_ref().map(|b| Governor {
-        budget: b,
-        strict_admission: sc.strict_admission,
-    });
     let journal_path = args.require("journal").map_err(|_| {
         CliError::usage("shard requires --journal <path> (the merge consumes shard journals)")
     })?;
@@ -1123,20 +1192,17 @@ fn cmd_shard(args: &ParsedArgs) -> Result<(), CliError> {
         range.lo, range.hi, sc.n_windows, sc.n_v
     );
     let metrics = Metrics::new();
-    let ft = capture_shard(
-        Measurement::UndirectedDegree,
-        &mut obs,
-        &plan,
-        shard,
-        threads,
-        Some(&metrics),
-        &sc.policy,
-        sc.injector.as_ref(),
-        Some(&journal),
-        recovery.as_ref(),
-        governor.as_ref(),
-    )
-    .map_err(|e| federation_error(&e))?;
+    obs.seek(range.lo);
+    let ft = sc
+        .capture(
+            &mut obs,
+            local,
+            threads,
+            Some(&metrics),
+            Some(&journal),
+            recovery.as_ref(),
+        )
+        .map_err(|e| pipeline_error(&e))?;
     if !ft.report.is_clean() {
         eprintln!(
             "shard fault report: {} injected, {} retries, {} quarantined \
@@ -1148,26 +1214,17 @@ fn cmd_shard(args: &ParsedArgs) -> Result<(), CliError> {
             ft.report.windows
         );
     }
-    if let Some(path) = args.options.get("metrics").filter(|s| !s.is_empty()) {
+    write_metrics(args, || {
         use crate::json::JsonValue;
-        let snap = metrics.snapshot();
-        let mut doc = metrics_json(&snap);
-        if let JsonValue::Object(pairs) = &mut doc {
-            pairs.push((
-                "shard".to_string(),
-                JsonValue::obj([
-                    ("index", JsonValue::UInt(shard)),
-                    ("shards", JsonValue::UInt(shards)),
-                    ("lo", JsonValue::UInt(range.lo)),
-                    ("hi", JsonValue::UInt(range.hi)),
-                    ("bytes_appended", JsonValue::UInt(journal.appended_bytes())),
-                ]),
-            ));
-            pairs.push(("fault_report".to_string(), fault_report_json(&ft.report)));
-        }
-        std::fs::write(path, doc.pretty())
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    }
+        let section = JsonValue::obj([
+            ("index", JsonValue::UInt(shard)),
+            ("shards", JsonValue::UInt(shards)),
+            ("lo", JsonValue::UInt(range.lo)),
+            ("hi", JsonValue::UInt(range.hi)),
+            ("bytes_appended", JsonValue::UInt(journal.appended_bytes())),
+        ]);
+        capture_metrics_json(&metrics.snapshot(), [("shard", section)], &ft.report)
+    })?;
     eprintln!(
         "shard {shard} complete: {} windows journaled to {journal_path}",
         ft.report.survivors + ft.report.quarantined + ft.report.substituted
@@ -1264,12 +1321,7 @@ fn cmd_pool_merge(args: &ParsedArgs) -> Result<(), CliError> {
             "--merge requires at least one journal path",
         ));
     }
-    let min_coverage = args.f64_or("min-coverage", 1.0)?;
-    if !(0.0..=1.0).contains(&min_coverage) {
-        return Err(CliError::usage(format!(
-            "--min-coverage must be in [0,1], got {min_coverage}"
-        )));
-    }
+    let min_coverage = min_coverage(args)?;
     let threads = sc.threads(args, sc.n_windows)?;
     let recapture = args.options.contains_key("recapture");
     let mut obs = if recapture {
@@ -1311,23 +1363,13 @@ fn cmd_pool_merge(args: &ParsedArgs) -> Result<(), CliError> {
     for fault in &fed.faults {
         eprintln!("  shard fault [{}]: {fault}", fault.name());
     }
-    if let Some(path) = args.options.get("metrics").filter(|s| !s.is_empty()) {
-        use crate::json::JsonValue;
-        let snap = metrics.snapshot();
-        let mut doc = metrics_json(&snap);
-        if let JsonValue::Object(pairs) = &mut doc {
-            // federation precedes fault_report for the same reason the
-            // budget/journal objects do in simulate: consumers slicing
-            // from "fault_report" onward compare identical bytes.
-            pairs.push(("federation".to_string(), federation_json(fed)));
-            pairs.push((
-                "fault_report".to_string(),
-                fault_report_json(&merged.pool.report),
-            ));
-        }
-        std::fs::write(path, doc.pretty())
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    }
+    write_metrics(args, || {
+        capture_metrics_json(
+            &metrics.snapshot(),
+            [("federation", federation_json(fed))],
+            &merged.pool.report,
+        )
+    })?;
     write_pooled(args, &merged.pool.pooled)
 }
 
@@ -1404,42 +1446,43 @@ fn retry_policy(args: &ParsedArgs) -> Result<palu_traffic::RetryPolicy, CliError
     })
 }
 
-/// `palu-cli serve`: the federation service daemon. Accepts shard
-/// submissions over TCP, persists them through per-shard journals
-/// under `--journal-dir` (so a SIGKILL'd server rebuilds coverage on
-/// restart), and serves rolling merged fits until drained by
-/// `submit --shutdown`.
-fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
+/// The listener behind `serve` and `dispatch`: a collector over the
+/// shard journals under `--journal-dir` (recovering any already on
+/// disk), wrapped by `bind` into a server on `--listen`, whose bound
+/// address goes to `--addr-file` when given.
+fn open_service<S>(
+    args: &ParsedArgs,
+    sc: &SimCapture,
+    command: &str,
+    bind: impl FnOnce(
+        &str,
+        palu_traffic::service::Collector,
+    ) -> Result<(S, std::net::SocketAddr), palu_traffic::ServiceFault>,
+) -> Result<(S, std::net::SocketAddr), CliError> {
     use palu_traffic::pipeline::Measurement;
-    use palu_traffic::service::{Collector, Server, ServiceConfig};
+    use palu_traffic::service::{Collector, ServiceConfig};
     use std::path::PathBuf;
 
-    let sc = SimCapture::parse(args)?;
     let shards = args.u64_or("shards", 1)?;
-    let min_coverage = args.f64_or("min-coverage", 1.0)?;
-    if !(0.0..=1.0).contains(&min_coverage) {
-        return Err(CliError::usage(format!(
-            "--min-coverage must be in [0,1], got {min_coverage}"
-        )));
-    }
+    let min_coverage = min_coverage(args)?;
     let journal_dir = args.require("journal-dir").map_err(|_| {
-        CliError::usage("serve requires --journal-dir <dir> (one journal per shard persists there)")
+        CliError::usage(format!(
+            "{command} requires --journal-dir <dir> (one journal per shard persists there)"
+        ))
     })?;
-    let read_timeout = args.u64_or("read-timeout-ms", 5_000)?;
-    let listen = args.get_or("listen", "127.0.0.1:0").to_string();
     let config = ServiceConfig {
         measurement: Measurement::UndirectedDegree,
         expect: sc.header(),
         shards,
         min_coverage,
         journal_dir: PathBuf::from(journal_dir),
-        read_timeout: std::time::Duration::from_millis(read_timeout),
+        read_timeout: std::time::Duration::from_millis(args.u64_or("read-timeout-ms", 5_000)?),
     };
-    let collector = Collector::new(config).map_err(|e| service_fault_error("serve", &e))?;
+    let collector = Collector::new(config).map_err(|e| service_fault_error(command, &e))?;
     let recovered = collector.report();
     if recovered.covered > 0 {
         eprintln!(
-            "serve: recovered {}/{} window(s) from {} shard journal(s) on disk \
+            "{command}: recovered {}/{} window(s) from {} shard journal(s) on disk \
              ({} torn record(s) dropped)",
             recovered.covered,
             recovered.windows,
@@ -1447,19 +1490,34 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
             recovered.torn_records_dropped
         );
     }
-    let server = Server::bind(&listen, collector).map_err(|e| service_fault_error("serve", &e))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| service_fault_error("serve", &e))?;
-    eprintln!(
-        "serve: listening on {addr} for {shards} shard(s) × {} windows (min coverage \
-         {min_coverage})",
-        sc.n_windows
-    );
+    let listen = args.get_or("listen", "127.0.0.1:0");
+    let (server, addr) = bind(listen, collector).map_err(|e| service_fault_error(command, &e))?;
     if let Some(path) = args.options.get("addr-file").filter(|s| !s.is_empty()) {
         std::fs::write(path, format!("{addr}\n"))
             .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
     }
+    Ok((server, addr))
+}
+
+/// `palu-cli serve`: the federation service daemon. Accepts shard
+/// submissions over TCP, persists them through per-shard journals
+/// under `--journal-dir` (so a SIGKILL'd server rebuilds coverage on
+/// restart), and serves rolling merged fits until drained by
+/// `submit --shutdown`.
+fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
+    use palu_traffic::service::Server;
+
+    let sc = SimCapture::parse(args)?;
+    let (server, addr) = open_service(args, &sc, "serve", |listen, collector| {
+        let server = Server::bind(listen, collector)?;
+        let addr = server.local_addr()?;
+        Ok((server, addr))
+    })?;
+    let config = server.collector().config();
+    eprintln!(
+        "serve: listening on {addr} for {} shard(s) × {} windows (min coverage {})",
+        config.shards, sc.n_windows, config.min_coverage
+    );
     let report = server.run().map_err(|e| service_fault_error("serve", &e))?;
     eprintln!(
         "serve: drained after {} submission session(s): {}/{} windows covered, {} record(s) \
@@ -1472,12 +1530,9 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
         report.rejected,
         report.fits_served
     );
-    if let Some(path) = args.options.get("metrics").filter(|s| !s.is_empty()) {
-        use crate::json::JsonValue;
-        let doc = JsonValue::obj([("service", service_json(&report))]);
-        std::fs::write(path, doc.pretty())
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    }
+    write_metrics(args, || {
+        crate::json::JsonValue::obj([("service", service_json(&report))])
+    })?;
     Ok(())
 }
 
@@ -1486,7 +1541,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
 /// resumption, or (with `--shutdown`) drain the service.
 fn cmd_submit(args: &ParsedArgs) -> Result<(), CliError> {
     use palu_traffic::service::{request_shutdown, submit_journal};
-    use palu_traffic::{WireInjector, WireSpec};
 
     let server = args
         .require("server")
@@ -1506,13 +1560,7 @@ fn cmd_submit(args: &ParsedArgs) -> Result<(), CliError> {
         .to_string();
     let shards = args.u64_or("shards", 1)?;
     let shard = args.u64_or("shard-index", 0)?;
-    let spec = match args.options.get("wire-faults").filter(|s| !s.is_empty()) {
-        Some(spec) => {
-            WireSpec::parse(spec).map_err(|e| CliError::usage(format!("--wire-faults: {e}")))?
-        }
-        None => WireSpec::none(),
-    };
-    let injector = WireInjector::new(spec, sc.seed);
+    let injector = wire_injector(args, sc.seed)?;
     let expect = sc.header();
     eprintln!("submit: shard {shard}/{shards} from {journal} to {server}");
     let outcome = submit_journal(
@@ -1591,27 +1639,10 @@ pub fn dispatch_json(report: &palu_traffic::DispatchReport) -> crate::json::Json
 /// `--journal-dir` re-derives completion from the shard journals and
 /// re-dispatches only what is genuinely incomplete.
 fn cmd_dispatch(args: &ParsedArgs) -> Result<(), CliError> {
-    use palu_traffic::pipeline::Measurement;
-    use palu_traffic::service::{Collector, ServiceConfig};
     use palu_traffic::{DispatchConfig, DispatchServer, Dispatcher};
-    use std::path::PathBuf;
     use std::time::Duration;
 
     let sc = SimCapture::parse(args)?;
-    let shards = args.u64_or("shards", 1)?;
-    let min_coverage = args.f64_or("min-coverage", 1.0)?;
-    if !(0.0..=1.0).contains(&min_coverage) {
-        return Err(CliError::usage(format!(
-            "--min-coverage must be in [0,1], got {min_coverage}"
-        )));
-    }
-    let journal_dir = args.require("journal-dir").map_err(|_| {
-        CliError::usage(
-            "dispatch requires --journal-dir <dir> (one journal per shard persists there)",
-        )
-    })?;
-    let read_timeout = args.u64_or("read-timeout-ms", 5_000)?;
-    let listen = args.get_or("listen", "127.0.0.1:0").to_string();
     let lease_ms = args.u64_or("lease-ms", 10_000)?;
     let heartbeat_ms = args.u64_or("heartbeat-ms", lease_ms / 4)?;
     if lease_ms == 0 || heartbeat_ms == 0 {
@@ -1631,48 +1662,23 @@ fn cmd_dispatch(args: &ParsedArgs) -> Result<(), CliError> {
             Some(Duration::from_millis(ms))
         }
     };
-    let config = ServiceConfig {
-        measurement: Measurement::UndirectedDegree,
-        expect: sc.header(),
-        shards,
-        min_coverage,
-        journal_dir: PathBuf::from(journal_dir),
-        read_timeout: Duration::from_millis(read_timeout),
-    };
-    let collector = Collector::new(config).map_err(|e| service_fault_error("dispatch", &e))?;
-    let recovered = collector.report();
-    if recovered.covered > 0 {
-        eprintln!(
-            "dispatch: recovered {}/{} window(s) from {} shard journal(s) on disk \
-             ({} torn record(s) dropped)",
-            recovered.covered,
-            recovered.windows,
-            recovered.shard_rows.len(),
-            recovered.torn_records_dropped
-        );
-    }
     let dconfig = DispatchConfig {
         lease: Duration::from_millis(lease_ms),
         heartbeat: Duration::from_millis(heartbeat_ms),
         linger: args.options.contains_key("linger"),
         stall,
     };
-    let dispatcher =
-        Dispatcher::new(collector, dconfig).map_err(|e| service_fault_error("dispatch", &e))?;
-    let server = DispatchServer::bind(&listen, dispatcher)
-        .map_err(|e| service_fault_error("dispatch", &e))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| service_fault_error("dispatch", &e))?;
+    let (server, addr) = open_service(args, &sc, "dispatch", |listen, collector| {
+        let server = DispatchServer::bind(listen, Dispatcher::new(collector, dconfig)?)?;
+        let addr = server.local_addr()?;
+        Ok((server, addr))
+    })?;
     eprintln!(
-        "dispatch: listening on {addr}, leasing {shards} shard(s) × {} windows \
+        "dispatch: listening on {addr}, leasing {} shard(s) × {} windows \
          (lease {lease_ms} ms, heartbeat {heartbeat_ms} ms)",
+        server.dispatcher().collector().config().shards,
         sc.n_windows
     );
-    if let Some(path) = args.options.get("addr-file").filter(|s| !s.is_empty()) {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    }
     // Keep a handle on the wrapped collector (the server consumes
     // itself in run()) so the metrics file can include the service
     // section alongside the dispatch section.
@@ -1695,15 +1701,12 @@ fn cmd_dispatch(args: &ParsedArgs) -> Result<(), CliError> {
     for event in &report.events {
         eprintln!("dispatch: event: {event}");
     }
-    if let Some(path) = args.options.get("metrics").filter(|s| !s.is_empty()) {
-        use crate::json::JsonValue;
-        let doc = JsonValue::obj([
+    write_metrics(args, || {
+        crate::json::JsonValue::obj([
             ("dispatch", dispatch_json(&report)),
             ("service", service_json(&dispatcher.collector().report())),
-        ]);
-        std::fs::write(path, doc.pretty())
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    }
+        ])
+    })?;
     if report.stalled {
         return Err(CliError::runtime(format!(
             "dispatch: stalled at {}/{} shard(s) with no live lease",
@@ -1721,10 +1724,8 @@ fn cmd_dispatch(args: &ParsedArgs) -> Result<(), CliError> {
 /// incarnation persisted — the expected outcome is the typed fenced
 /// refusal (exit 9) with coverage untouched.
 fn cmd_work(args: &ParsedArgs) -> Result<(), CliError> {
-    use palu_traffic::pipeline::{Measurement, Pipeline};
     use palu_traffic::{
-        resume_zombie, run_worker, FederationError, ServiceFault, WireInjector, WireSpec,
-        WorkPhase, WorkerConfig,
+        resume_zombie, run_worker, FederationError, ServiceFault, WorkPhase, WorkerConfig,
     };
     use std::path::PathBuf;
     use std::time::Duration;
@@ -1740,17 +1741,11 @@ fn cmd_work(args: &ParsedArgs) -> Result<(), CliError> {
             CliError::usage("work requires --work-dir <dir> (local journals + lease state)")
         })?
         .to_string();
-    std::fs::create_dir_all(&work_dir)
-        .map_err(|e| CliError::runtime(format!("{work_dir}: {e}")))?;
     let retry = retry_policy(args)?;
     let sc = SimCapture::parse(args)?;
-    let spec = match args.options.get("wire-faults").filter(|s| !s.is_empty()) {
-        Some(spec) => {
-            WireSpec::parse(spec).map_err(|e| CliError::usage(format!("--wire-faults: {e}")))?
-        }
-        None => WireSpec::none(),
-    };
-    let injector = WireInjector::new(spec, sc.seed);
+    let injector = wire_injector(args, sc.seed)?;
+    std::fs::create_dir_all(&work_dir)
+        .map_err(|e| CliError::runtime(format!("{work_dir}: {e}")))?;
     let cfg = WorkerConfig {
         addr: server,
         worker,
@@ -1822,19 +1817,9 @@ fn cmd_work(args: &ParsedArgs) -> Result<(), CliError> {
                     shards: ticket.shards,
                 }
             })?;
-            Pipeline::pool_observatory_durable(
-                Measurement::UndirectedDegree,
-                &mut obs,
-                n,
-                threads,
-                None,
-                &sc.policy,
-                sc.injector.as_ref(),
-                Some(journal),
-                None,
-            )
-            .map(|_| ())
-            .map_err(FederationError::Pipeline)
+            sc.capture(&mut obs, n, threads, None, Some(journal), None)
+                .map(|_| ())
+                .map_err(FederationError::Pipeline)
         },
         |ticket| {
             let _ = std::fs::write(
@@ -1906,7 +1891,7 @@ fn cmd_fit_server(args: &ParsedArgs) -> Result<(), CliError> {
         }
         eprintln!("fit: WARNING serving a partial pool ({fault})");
     }
-    if let Some(path) = args.options.get("metrics").filter(|s| !s.is_empty()) {
+    write_metrics(args, || {
         use crate::json::JsonValue;
         let shard_torn = JsonValue::Array(
             snap.shard_torn
@@ -1926,7 +1911,7 @@ fn cmd_fit_server(args: &ParsedArgs) -> Result<(), CliError> {
                 })
                 .collect(),
         );
-        let doc = JsonValue::obj([(
+        JsonValue::obj([(
             "fit",
             JsonValue::obj([
                 ("windows", JsonValue::UInt(snap.windows)),
@@ -1938,10 +1923,8 @@ fn cmd_fit_server(args: &ParsedArgs) -> Result<(), CliError> {
                 ("pooled_windows", JsonValue::UInt(snap.pooled_windows)),
                 ("shard_torn", shard_torn),
             ]),
-        )]);
-        std::fs::write(path, doc.pretty())
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    }
+        )])
+    })?;
     with_output(args, |w| {
         (|| -> std::io::Result<()> {
             writeln!(
@@ -3109,13 +3092,6 @@ mod tests {
         let e = run(&parse(&argv)).unwrap_err();
         assert_eq!(e.code, exit::USAGE);
         assert!(e.message.contains("--journal-dir"), "{}", e.message);
-        // ... and a coverage threshold inside [0,1].
-        let mut argv = vec!["serve"];
-        argv.extend(fed_flags());
-        argv.extend(["--journal-dir", "d", "--min-coverage", "1.5"]);
-        let e = run(&parse(&argv)).unwrap_err();
-        assert_eq!(e.code, exit::USAGE);
-        assert!(e.message.contains("min-coverage"), "{}", e.message);
         // submit needs a server address before anything else.
         let e = run(&parse(&["submit"])).unwrap_err();
         assert_eq!(e.code, exit::USAGE);
@@ -3126,20 +3102,109 @@ mod tests {
         let e = run(&parse(&argv)).unwrap_err();
         assert_eq!(e.code, exit::USAGE);
         assert!(e.message.contains("--journal"), "{}", e.message);
-        // A malformed wire-fault spec is refused before any connection.
-        let mut argv = vec![
-            "submit",
-            "--server",
-            "127.0.0.1:1",
-            "--journal",
-            "x.journal",
-            "--wire-faults",
-            "frob=0.5",
+        // Every command sharing a parser refuses its bad value the same
+        // way, before binding, connecting or touching a directory.
+        let work_dir = tmp("usage_work");
+        let work_dir = work_dir.to_str().unwrap();
+        let cases: [(&[&str], &str); 5] = [
+            (
+                &["pool", "--merge", "x.journal", "--min-coverage", "1.5"],
+                "min-coverage",
+            ),
+            (
+                &["serve", "--journal-dir", "d", "--min-coverage", "1.5"],
+                "min-coverage",
+            ),
+            (
+                &["dispatch", "--journal-dir", "d", "--min-coverage", "1.5"],
+                "min-coverage",
+            ),
+            (
+                &[
+                    "submit",
+                    "--server",
+                    "127.0.0.1:1",
+                    "--journal",
+                    "x.journal",
+                    "--wire-faults",
+                    "frob=0.5",
+                ],
+                "wire-faults",
+            ),
+            (
+                &[
+                    "work",
+                    "--server",
+                    "127.0.0.1:1",
+                    "--work-dir",
+                    work_dir,
+                    "--wire-faults",
+                    "frob=0.5",
+                ],
+                "wire-faults",
+            ),
         ];
-        argv.extend(fed_flags());
-        let e = run(&parse(&argv)).unwrap_err();
-        assert_eq!(e.code, exit::USAGE);
-        assert!(e.message.contains("wire-faults"), "{}", e.message);
+        for (command, flag) in cases {
+            let mut argv = command.to_vec();
+            argv.extend(fed_flags());
+            let e = run(&parse(&argv)).unwrap_err();
+            assert_eq!(e.code, exit::USAGE, "{argv:?}: {}", e.message);
+            assert!(e.message.contains(flag), "{argv:?}: {}", e.message);
+        }
+    }
+
+    #[test]
+    fn work_applies_the_memory_budget_to_its_lease() {
+        // An in-process dispatcher leases the whole capture to one
+        // worker whose budget cannot hold a single window: the lease
+        // must fail with the admission refusal, not run unbudgeted.
+        let journal_dir = tmp("work_budget_dispatch");
+        let work_dir = tmp("work_budget_worker");
+        let addr_file = tmp("work_budget_addr");
+        for dir in [&journal_dir, &work_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let _ = std::fs::remove_file(&addr_file);
+        let (journal_dir, work_dir, addr_file) = (
+            journal_dir.to_str().unwrap().to_string(),
+            work_dir.to_str().unwrap().to_string(),
+            addr_file.to_str().unwrap().to_string(),
+        );
+        let mut dispatch = vec!["dispatch"];
+        dispatch.extend(fed_flags());
+        dispatch.extend([
+            "--journal-dir",
+            &journal_dir,
+            "--addr-file",
+            &addr_file,
+            "--lease-ms",
+            "200",
+            "--stall-ms",
+            "300",
+        ]);
+        let dispatch = parse(&dispatch);
+        let dispatcher = std::thread::spawn(move || run(&dispatch));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let addr = loop {
+            match std::fs::read_to_string(&addr_file) {
+                Ok(addr) if addr.ends_with('\n') => break addr.trim().to_string(),
+                _ => {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "dispatcher never bound"
+                    );
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+            }
+        };
+        let mut work = vec!["work", "--server", &addr, "--work-dir", &work_dir];
+        work.extend(fed_flags());
+        work.extend(["--memory-budget", "4096"]);
+        let e = run(&parse(&work)).unwrap_err();
+        assert!(e.message.contains("admission refused"), "{}", e.message);
+        // With no live lease left, the stall watchdog ends the dispatcher.
+        let e = dispatcher.join().unwrap().unwrap_err();
+        assert!(e.message.contains("stalled"), "{}", e.message);
     }
 
     #[test]

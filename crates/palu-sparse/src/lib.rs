@@ -16,8 +16,13 @@
 //!   Figure 1: source packets, source fan-out, link packets,
 //!   destination fan-in, and destination packets, each as a degree
 //!   histogram ready for logarithmic pooling.
-//! * [`parallel`] — sharded parallel assembly of large windows using
-//!   std::thread scoped threads.
+//! * [`scratch`] — reusable per-worker buffers for allocation-free
+//!   window assembly and histogram extraction, including the fused
+//!   undirected-degree kernel.
+//!
+//! The crate is single-threaded: the capture engine in
+//! `palu_traffic::pipeline` parallelises across windows, never within
+//! one.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
@@ -29,8 +34,6 @@ pub mod coo;
 pub mod csr;
 /// Typed errors for sizing on untrusted dimensions.
 pub mod error;
-/// Sharded parallel window assembly on std::thread scoped threads.
-pub mod parallel;
 /// The network quantities (degree, flows, packets, bytes) tracked per node.
 pub mod quantities;
 /// Reusable per-worker scratch buffers for allocation-free window

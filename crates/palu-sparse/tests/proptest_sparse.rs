@@ -10,7 +10,6 @@
 
 use palu_sparse::aggregates::Aggregates;
 use palu_sparse::coo::CooMatrix;
-use palu_sparse::parallel::build_csr_parallel;
 use palu_sparse::quantities::QuantityHistograms;
 use proptest::prelude::*;
 
@@ -83,13 +82,6 @@ proptest! {
         prop_assert_eq!(q.link_packets.degree_sum(), g.valid_packets);
         prop_assert_eq!(q.source_packets.total(), g.unique_sources);
         prop_assert_eq!(q.destination_packets.total(), g.unique_destinations);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial(pairs in packets(), threads in 1usize..8) {
-        let serial = CooMatrix::from_packet_pairs(pairs.iter().copied()).to_csr();
-        let parallel = build_csr_parallel(&pairs, threads);
-        prop_assert_eq!(serial, parallel);
     }
 
     #[test]

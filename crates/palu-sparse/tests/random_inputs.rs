@@ -4,7 +4,6 @@
 
 use palu_sparse::aggregates::Aggregates;
 use palu_sparse::coo::CooMatrix;
-use palu_sparse::parallel::build_csr_parallel;
 use palu_sparse::quantities::QuantityHistograms;
 use palu_stats::rng::{Rng, Xoshiro256pp};
 
@@ -88,17 +87,6 @@ fn quantity_conservation_laws() {
         assert_eq!(q.link_packets.degree_sum(), g.valid_packets);
         assert_eq!(q.source_packets.total(), g.unique_sources);
         assert_eq!(q.destination_packets.total(), g.unique_destinations);
-    }
-}
-
-#[test]
-fn parallel_build_matches_serial() {
-    let mut rng = Xoshiro256pp::seed_from_u64(0x5a05);
-    for _ in 0..CASES {
-        let pairs = packets(&mut rng);
-        let threads = rng.gen_range(1usize..8);
-        let serial = CooMatrix::from_packet_pairs(pairs.iter().copied()).to_csr();
-        assert_eq!(serial, build_csr_parallel(&pairs, threads));
     }
 }
 

@@ -162,6 +162,15 @@ impl PooledDistribution {
     }
 }
 
+/// Default capture worker count: one per available CPU, capped so
+/// the window-ordered fold on the calling thread keeps pace.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(16)
+}
+
 /// Accumulates windows into a pooled distribution for one measurement.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -233,30 +242,6 @@ impl Pipeline {
         p.finish()
     }
 
-    /// Pool several measurements over the same windows concurrently
-    /// (one scoped thread per measurement).
-    pub fn pool_many(
-        measurements: &[Measurement],
-        windows: &[PacketWindow],
-    ) -> Vec<PooledDistribution> {
-        let mut results: Vec<Option<PooledDistribution>> = vec![None; measurements.len()];
-        std::thread::scope(|s| {
-            for (slot, &m) in results.iter_mut().zip(measurements) {
-                s.spawn(move || {
-                    *slot = Some(Pipeline::pool(m, windows));
-                });
-            }
-        });
-        // The scope joined every worker, so each slot is filled.
-        let results: Vec<PooledDistribution> = results.into_iter().flatten().collect();
-        assert_eq!(
-            results.len(),
-            measurements.len(),
-            "every slot filled by a joined worker"
-        );
-        results
-    }
-
     /// Pool the next `n` consecutive windows of `obs` with the
     /// synthesize → window → histogram → bin stages spread across up
     /// to `threads` scoped workers that claim windows one at a time
@@ -279,13 +264,20 @@ impl Pipeline {
     ///
     /// `metrics`, when supplied, accumulates per-stage wall-times
     /// (summed across workers) and packet/window/thread counters.
+    ///
+    /// # Errors
+    ///
+    /// Any window fault aborts the capture (the strict
+    /// [`FailurePolicy`]) with [`PipelineError::WindowAborted`] — for
+    /// example the empty-synthesizer fault of an edgeless network.
+    /// `n = 0` is not an error: it pools zero windows.
     pub fn pool_observatory_parallel(
         measurement: Measurement,
         obs: &mut Observatory,
         n: usize,
         threads: usize,
         metrics: Option<&Metrics>,
-    ) -> PooledDistribution {
+    ) -> Result<PooledDistribution, PipelineError> {
         match Pipeline::pool_observatory_durable(
             measurement,
             obs,
@@ -297,10 +289,9 @@ impl Pipeline {
             None,
             None,
         ) {
-            Ok(ft) => ft.pooled,
             // Legacy contract: n = 0 silently pooled zero windows.
-            Err(PipelineError::ZeroWindows) => Pipeline::new(measurement).finish(),
-            Err(e) => panic!("pipeline failure: {e}"),
+            Err(PipelineError::ZeroWindows) => Ok(Pipeline::new(measurement).finish()),
+            result => result.map(|ft| ft.pooled),
         }
     }
 
@@ -1340,20 +1331,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_many_matches_individual() {
-        let mut obs = observatory(5);
-        let windows = obs.windows(4);
-        let ms = [
-            Measurement::UndirectedDegree,
-            Measurement::Quantity(NetworkQuantity::LinkPackets),
-            Measurement::Quantity(NetworkQuantity::DestinationFanIn),
-        ];
-        let many = Pipeline::pool_many(&ms, &windows);
-        for (m, pooled) in ms.iter().zip(&many) {
-            let single = Pipeline::pool(*m, &windows);
-            assert_eq!(single.mean, pooled.mean);
-            assert_eq!(single.sigma, pooled.sigma);
-        }
+    fn default_threads_is_positive() {
+        let t = default_threads();
+        assert!(t >= 1);
+        assert!(t <= 16);
     }
 
     #[test]
@@ -1433,7 +1414,8 @@ mod tests {
                 13,
                 threads,
                 None,
-            );
+            )
+            .expect("capture");
             assert_eq!(parallel.windows, serial.windows, "threads {threads}");
             assert_eq!(parallel.d_max, serial.d_max, "threads {threads}");
             assert_eq!(
@@ -1462,7 +1444,8 @@ mod tests {
         let mut b = observatory(9);
         let _ = a.windows(6);
         let _ =
-            Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut b, 6, 4, None);
+            Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut b, 6, 4, None)
+                .expect("capture");
         // Both observatories are now positioned at window 6.
         assert_eq!(a.next_window().matrix(), b.next_window().matrix());
     }
@@ -1477,7 +1460,8 @@ mod tests {
             4,
             2,
             Some(&metrics),
-        );
+        )
+        .expect("capture");
         assert_eq!(pooled.windows, 4);
         let snap = metrics.snapshot();
         assert_eq!(snap.windows, 4);
@@ -1553,8 +1537,51 @@ mod tests {
             0,
             4,
             None,
-        );
+        )
+        .expect("capture");
         assert_eq!(pooled.windows, 0);
+    }
+
+    #[test]
+    fn edgeless_network_is_a_typed_error_not_a_panic() {
+        // A two-node core whose stubs all pair into self-loops (dropped),
+        // with no leaves and no stars, leaves no conversation at all.
+        let gen = PaluGenerator::new(2, 0, 0, 1.5, 0.0).unwrap();
+        let edgeless = |seed: u64| {
+            Observatory::new(
+                ObservatoryConfig {
+                    name: "edgeless".into(),
+                    date: String::new(),
+                    n_v: 100,
+                },
+                &gen,
+                EdgeIntensity::Uniform,
+                seed,
+            )
+        };
+        let seed = (0..1_000)
+            .find(|&s| edgeless(s).synthesizer().n_conversations() == 0)
+            .expect("some seed wires the two-node core into self-loops only");
+        for threads in [1, 2] {
+            let err = Pipeline::pool_observatory_parallel(
+                Measurement::UndirectedDegree,
+                &mut edgeless(seed),
+                8,
+                threads,
+                None,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PipelineError::WindowAborted {
+                        fault: WindowFault::EmptySynthesizer,
+                        ..
+                    }
+                ),
+                "threads {threads}: {err:?}"
+            );
+        }
     }
 
     #[test]

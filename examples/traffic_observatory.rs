@@ -61,7 +61,7 @@ fn main() {
     }
 
     // Pool every Figure 1 quantity (plus the undirected degree) over
-    // all windows, concurrently.
+    // all windows.
     let measurements = [
         Measurement::UndirectedDegree,
         Measurement::NodeVolume,
@@ -71,7 +71,10 @@ fn main() {
         Measurement::Quantity(NetworkQuantity::DestinationFanIn),
         Measurement::Quantity(NetworkQuantity::DestinationPackets),
     ];
-    let pooled = Pipeline::pool_many(&measurements, &windows);
+    let pooled: Vec<_> = measurements
+        .iter()
+        .map(|&m| Pipeline::pool(m, &windows))
+        .collect();
 
     println!("\npooled D(d_i) ± σ over {} windows:", windows.len());
     for (m, dist) in measurements.iter().zip(&pooled) {

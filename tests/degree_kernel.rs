@@ -222,7 +222,8 @@ fn fused_equals_matrix_path_on_observatory_windows() {
         12,
         2,
         Some(&metrics),
-    );
+    )
+    .expect("capture");
     assert_eq!(engine.mean, serial.mean);
     assert_eq!(engine.sigma, serial.sigma);
     assert_eq!(

@@ -55,7 +55,8 @@ fn parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads() {
             WINDOWS,
             threads,
             None,
-        );
+        )
+        .expect("capture");
         assert_eq!(parallel.windows, serial.windows, "threads = {threads}");
         assert_eq!(parallel.d_max, serial.d_max, "threads = {threads}");
         assert_eq!(
@@ -90,7 +91,8 @@ fn metrics_snapshot_counts_the_parallel_workload() {
         8,
         2,
         Some(&metrics),
-    );
+    )
+    .expect("capture");
     assert_eq!(pooled.windows, 8);
     let snap: MetricsSnapshot = metrics.snapshot();
     assert_eq!(snap.windows, 8);
@@ -112,7 +114,8 @@ fn metrics_snapshot_counts_the_parallel_workload() {
         64,
         64,
         Some(&metrics),
-    );
+    )
+    .expect("capture");
     assert_eq!(pooled.windows, 64);
     let snap = metrics.snapshot();
     let cores = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
@@ -131,7 +134,8 @@ fn single_window_weighted_fit_coincides_with_unweighted() {
     // least-squares fit on the same observation.
     let mut obs = observatory(11, 20_000);
     let pooled =
-        Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut obs, 1, 1, None);
+        Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut obs, 1, 1, None)
+            .expect("capture");
     let w = pooled.weights(100.0);
     assert!(!w.is_empty());
     assert!(w.iter().all(|&x| x == 1.0), "weights {w:?}");
@@ -154,7 +158,8 @@ fn multi_window_weights_remain_inverse_variance() {
     // by the degenerate-case guard.
     let mut obs = observatory(13, 5_000);
     let pooled =
-        Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut obs, 12, 4, None);
+        Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut obs, 12, 4, None)
+            .expect("capture");
     let w = pooled.weights(100.0);
     let varying: Vec<(usize, f64)> = pooled
         .sigma
@@ -199,7 +204,8 @@ fn streaming_pool_agrees_with_parallel_pool() {
         WINDOWS,
         8,
         None,
-    );
+    )
+    .expect("capture");
     assert_eq!(streamed.mean, parallel.mean);
     assert_eq!(streamed.sigma, parallel.sigma);
     assert_eq!(streamed.d_max, parallel.d_max);

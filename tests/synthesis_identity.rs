@@ -176,7 +176,8 @@ fn pooled_output_matches_the_recorded_literal() {
         11,
     );
     let pooled =
-        Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut obs, 24, 2, None);
+        Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut obs, 24, 2, None)
+            .expect("capture");
     let bins = pooled
         .mean
         .iter()
